@@ -1,5 +1,5 @@
-// Ablation C — decomposition of the unary sync RPC cost (DESIGN.md
-// ablation C).
+// Ablation C — decomposition of the unary RPC round-trip cost (DESIGN.md
+// ablation C), measured through the blocking Call wrapper.
 //
 // The paper chose gRPC in synchronous unary mode "due to its favorable
 // servicing latency" and "to minimize protocol overhead" (§IV-A2), and
@@ -81,8 +81,10 @@ BENCHMARK(BM_UnaryCallLoopback)
 // harness (2 ms): shows RPC latency dominated by the network, the
 // paper's observation for remote retrieval.
 void BM_UnaryCallSimulatedLan(benchmark::State& state) {
-  auto channel = RpcChannel::Connect("127.0.0.1", Fixture().server.port(),
-                                     /*simulated_rtt_ns=*/state.range(0));
+  ChannelOptions options;
+  options.simulated_rtt_ns = state.range(0);
+  auto channel =
+      RpcChannel::Connect("127.0.0.1", Fixture().server.port(), options);
   if (!channel.ok()) {
     state.SkipWithError("connect failed");
     return;

@@ -45,6 +45,14 @@ Result<std::unique_ptr<Node>> Node::Create(tf::Fabric* fabric,
 }
 
 Status Node::BuildStack() {
+  // A rebuild retires the previous incarnation peer side first: the
+  // registry's I/O thread completes peer work into the store, so it must
+  // be gone before the store is.
+  rpc_server_.reset();
+  service_.reset();
+  registry_.reset();
+  store_.reset();
+
   // Shared-index writer first: (re)initializes the exported index table
   // in place, so a restarted store publishes into an empty index and
   // peers' attached readers see no stale entries.

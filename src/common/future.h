@@ -11,8 +11,10 @@
 // Unlike std::future: copyable, supports WaitFor without exceptions, and
 // offers WaitAll/WaitAny combinators over batches — the shapes pipelined
 // Plasma workloads need. No executor, no continuations-on-threads: a
-// callback registered via OnReady runs inline on the fulfilling thread
-// and must be cheap.
+// callback registered via OnReady or Then runs inline on the fulfilling
+// thread (or on the registering thread when the value is already there)
+// and must be cheap. Never fulfil a promise while holding a lock that a
+// continuation may take.
 #pragma once
 
 #include <chrono>
@@ -23,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,6 +45,9 @@ struct FutureState {
 };
 
 }  // namespace detail
+
+template <typename T>
+class Promise;
 
 template <typename T>
 class Future {
@@ -103,6 +109,27 @@ class Future {
     state_->callbacks.erase(token);
   }
 
+  // Continuation: runs `fn(T&)` once the value arrives, with OnReady's
+  // threading. When `fn` returns a value, Then returns a future of it;
+  // when it returns void, Then returns nothing. `fn` may move from its
+  // argument: a future consumed through Then has that one consumer.
+  template <typename Fn>
+  auto Then(Fn fn) {
+    using U = std::invoke_result_t<Fn&, T&>;
+    if constexpr (std::is_void_v<U>) {
+      OnReady([state = state_, fn = std::move(fn)]() mutable {
+        fn(*state->value);
+      });
+    } else {
+      Promise<U> next;
+      Future<U> out = next.GetFuture();
+      OnReady([state = state_, next, fn = std::move(fn)]() mutable {
+        next.Set(fn(*state->value));
+      });
+      return out;
+    }
+  }
+
  private:
   template <typename U>
   friend class Promise;
@@ -140,6 +167,14 @@ class Promise {
  private:
   std::shared_ptr<detail::FutureState<T>> state_;
 };
+
+// A future that is already fulfilled with `value`.
+template <typename T>
+Future<T> MakeReadyFuture(T value) {
+  Promise<T> promise;
+  promise.Set(std::move(value));
+  return promise.GetFuture();
+}
 
 // Blocks until every future in `futures` is fulfilled.
 template <typename T>

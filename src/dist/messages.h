@@ -1,7 +1,8 @@
 // Store↔store RPC messages (the paper's gRPC protobufs, re-expressed in
 // the wire module's encoding).
 //
-// Stores interconnect with unary sync RPC (§IV-A2). The method surface:
+// Stores interconnect with unary RPC (§IV-A2; pipelined channels here,
+// see rpc/channel.h). The method surface:
 //   Plasma.Hello        — handshake: exchange node ids, pool regions and
 //                         (shared-index extension) the index region
 //   Plasma.Lookup       — batched sealed-object location lookup

@@ -39,11 +39,63 @@ const char* PeerStateName(PeerState state) {
   return "?";
 }
 
+// Completes with OK once `pending` arrivals came in (a fan-out whose
+// answers matter only as "all done").
+struct FanIn {
+  explicit FanIn(size_t n) : pending(n) {}
+  void Arrive() {
+    if (pending.fetch_sub(1) == 1) done.Set(Status::OK());
+  }
+  std::atomic<size_t> pending;
+  Promise<Status> done;
+};
+
 }  // namespace
+
+// The RPC half of one LookupRemote. Lives on the I/O thread: every field
+// below `done` is touched only there (outcomes of calls that fail fast
+// arrive inline, on the same thread).
+struct RemoteStoreRegistry::LookupOp {
+  std::vector<ObjectId> ids;
+  plasma::DistHooks::Locations out;
+  std::vector<size_t> unresolved;
+  std::vector<std::shared_ptr<Peer>> peers;  // ranked
+  Deadline deadline;
+  Promise<plasma::DistHooks::Locations> done;
+
+  size_t next_peer = 0;
+  bool finished = false;
+  // The wave in flight: its request, how many attempts it launched,
+  // their outcomes, and its hedge timer. `wave` numbers the waves so an
+  // abandoned wave's late outcome only feeds the health machine.
+  uint64_t wave = 0;
+  std::shared_ptr<const LookupRequest> request;
+  uint32_t launched = 0;
+  struct Outcome {
+    Result<LookupReply> reply;
+    bool is_hedge = false;
+  };
+  std::vector<Outcome> outcomes;
+  bool hedge_fired = false;
+  rpc::ChannelLoop::TimerId hedge_timer;
+};
+
+// A replication push: candidates are tried one at a time in rank order.
+struct RemoteStoreRegistry::ReplicaPush {
+  ReplicateRequest request;
+  std::vector<std::shared_ptr<Peer>> candidates;
+  std::vector<uint32_t> exclude;
+  std::vector<uint32_t> accepted;
+  uint32_t wanted = 0;
+  size_t next = 0;
+  Promise<std::vector<uint32_t>> done;
+};
 
 RemoteStoreRegistry::RemoteStoreRegistry(uint32_t self_node,
                                          RegistryOptions options)
-    : self_node_(self_node), options_(options) {
+    : self_node_(self_node),
+      options_(options),
+      loop_(std::make_shared<rpc::ChannelLoop>()) {
   if (options_.enable_lookup_cache) {
     cache_ = std::make_unique<LookupCache>(options_.lookup_cache_capacity);
   }
@@ -51,16 +103,11 @@ RemoteStoreRegistry::RemoteStoreRegistry(uint32_t self_node,
 
 RemoteStoreRegistry::~RemoteStoreRegistry() {
   StopHealthMonitor();
-  // Hedged-lookup attempt threads are detached but counted; every one
-  // must land before the registry's state goes away. Each attempt is
-  // bounded by rpc_timeout_ms (or its op deadline), so this terminates.
-  MutexLock lock(async_mutex_);
-  while (async_inflight_ > 0) {
-    async_cv_.WaitFor(async_mutex_, std::chrono::milliseconds(50), [this] {
-      async_mutex_.AssertHeld();
-      return async_inflight_ == 0;
-    });
-  }
+  // Stopping the loop fails every call still in flight; the futures
+  // built on them complete on this thread, while the registry's state is
+  // still intact.
+  shutting_down_.store(true);
+  loop_->Stop();
 }
 
 Status RemoteStoreRegistry::AddPeer(const std::string& host,
@@ -69,8 +116,9 @@ Status RemoteStoreRegistry::AddPeer(const std::string& host,
   channel_options.simulated_rtt_ns = options_.simulated_rtt_ns;
   channel_options.redial_backoff_min_ms = options_.redial_backoff_min_ms;
   channel_options.redial_backoff_max_ms = options_.redial_backoff_max_ms;
-  MDOS_ASSIGN_OR_RETURN(
-      auto channel, rpc::RpcChannel::Connect(host, port, channel_options));
+  MDOS_ASSIGN_OR_RETURN(auto channel,
+                        rpc::RpcChannel::Connect(host, port, channel_options,
+                                                 loop_));
 
   HelloRequest request;
   request.node_id = self_node_;
@@ -257,6 +305,7 @@ RemoteStoreRegistry::FindLivePeer(uint32_t node_id) const {
 
 void RemoteStoreRegistry::RecordPeerResult(
     const std::shared_ptr<Peer>& peer, bool ok) {
+  if (shutting_down_.load()) return;
   bool died = false;
   bool recovered = false;
   bool flush_inline = false;
@@ -307,10 +356,10 @@ void RemoteStoreRegistry::RecordPeerResult(
   if (recovered) {
     MDOS_LOG_INFO << "node " << self_node_ << ": peer " << peer->node_id
                   << " recovered";
-    // Queued notices are sent by the heartbeat thread so a data-path
-    // caller (a store shard thread) is never stalled behind up to
-    // max_queued_notices sequential RPCs. Without a heartbeat the
-    // observer of the recovery is a control/test path — flush inline.
+    // Queued notices are sent by the heartbeat thread, so a recovery
+    // observed on the data path never starts up to max_queued_notices
+    // RPCs there. Without a heartbeat the flush starts here (it is a
+    // chain of completions and returns at once).
     {
       MutexLock hb_lock(heartbeat_mutex_);
       flush_inline = !heartbeat_running_;
@@ -374,32 +423,44 @@ void RemoteStoreRegistry::ParkNoticeLocked(Peer& peer,
 
 void RemoteStoreRegistry::FlushQueuedNotices(
     const std::shared_ptr<Peer>& peer, std::deque<DeleteNotice> notices) {
-  for (size_t i = 0; i < notices.size(); ++i) {
-    auto reply = peer->channel->CallTyped<DeleteNoticeAck>(
-        kMethodDeleteNotice, notices[i], options_.rpc_timeout_ms);
-    if (reply.ok()) {
-      RecordPeerResult(peer, true);
-      MutexLock lock(mutex_);
-      ++stats_.notices_flushed;
-      continue;
-    }
-    bool connectivity = IsConnectivityError(reply.status());
-    RecordPeerResult(peer, !connectivity);
-    if (!connectivity) {
-      // Application-level rejection: the peer is alive but refused this
-      // notice — drop it alone and keep flushing.
-      MutexLock lock(mutex_);
-      ++stats_.notices_dropped;
-      continue;
-    }
-    // The peer relapsed mid-flush. Re-park the remainder for the next
-    // recovery (dropped wholesale if the failure just declared it dead).
-    MutexLock lock(mutex_);
-    for (size_t j = i; j < notices.size(); ++j) {
-      ParkNoticeLocked(*peer, notices[j]);
-    }
-    return;
-  }
+  if (notices.empty()) return;
+  DeleteNotice head = notices.front();
+  notices.pop_front();
+  auto rest = std::make_shared<std::deque<DeleteNotice>>(std::move(notices));
+  peer->channel
+      ->CallTypedAsync<DeleteNoticeAck>(kMethodDeleteNotice, head,
+                                        options_.rpc_timeout_ms)
+      .Then([this, peer, head, rest](Result<DeleteNoticeAck>& reply) {
+        if (reply.ok()) {
+          RecordPeerResult(peer, true);
+          {
+            MutexLock lock(mutex_);
+            ++stats_.notices_flushed;
+          }
+          FlushQueuedNotices(peer, std::move(*rest));
+          return;
+        }
+        bool connectivity = IsConnectivityError(reply.status());
+        RecordPeerResult(peer, !connectivity);
+        if (!connectivity) {
+          // Application-level rejection: the peer is alive but refused
+          // this notice — drop it alone and keep flushing.
+          {
+            MutexLock lock(mutex_);
+            ++stats_.notices_dropped;
+          }
+          FlushQueuedNotices(peer, std::move(*rest));
+          return;
+        }
+        // The peer relapsed mid-flush. Re-park the remainder for the
+        // next recovery (dropped wholesale if the failure just declared
+        // it dead).
+        MutexLock lock(mutex_);
+        ParkNoticeLocked(*peer, head);
+        for (const DeleteNotice& notice : *rest) {
+          ParkNoticeLocked(*peer, notice);
+        }
+      });
 }
 
 int64_t RemoteStoreRegistry::HedgeDelayNs(
@@ -421,51 +482,9 @@ int64_t RemoteStoreRegistry::HedgeDelayNs(
   return std::min(std::max(delay, min_ns), max_ns);
 }
 
-void RemoteStoreRegistry::LaunchLookupAttempt(
-    std::shared_ptr<Peer> peer,
-    std::shared_ptr<const LookupRequest> request, Deadline deadline,
-    std::shared_ptr<LookupWave> wave, bool is_hedge) {
-  {
-    MutexLock lock(wave->m);
-    ++wave->launched;
-  }
-  {
-    MutexLock lock(mutex_);
-    ++stats_.lookup_rpcs;
-  }
-  {
-    MutexLock lock(async_mutex_);
-    ++async_inflight_;
-  }
-  // Detached but inflight-counted (see the destructor): the attempt must
-  // not block the waiter past its hedge delay, and an abandoned
-  // attempt's only remaining job is feeding the health machine.
-  std::thread([this, peer = std::move(peer), request = std::move(request),
-               deadline, wave = std::move(wave), is_hedge] {
-    const int64_t start = MonotonicNanos();
-    auto reply =
-        PeerCall<LookupReply>(peer, kMethodLookup, *request, deadline);
-    const bool ok = reply.ok();
-    RecordPeerResult(peer, ok || !IsConnectivityError(reply.status()));
-    if (ok) RecordPeerLatency(peer, MonotonicNanos() - start);
-    if (is_hedge) hedge_inflight_.fetch_sub(1);
-    {
-      MutexLock lock(wave->m);
-      wave->outcomes.emplace_back(peer, std::move(reply), is_hedge);
-    }
-    wave->cv.NotifyAll();
-    {
-      MutexLock lock(async_mutex_);
-      --async_inflight_;
-    }
-    async_cv_.NotifyAll();
-  }).detach();
-}
-
-std::vector<std::optional<plasma::RemoteObjectLocation>>
-RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
-                                  Deadline deadline) {
-  std::vector<std::optional<plasma::RemoteObjectLocation>> out(ids.size());
+Future<plasma::DistHooks::Locations> RemoteStoreRegistry::LookupRemote(
+    const std::vector<ObjectId>& ids, Deadline deadline) {
+  plasma::DistHooks::Locations out(ids.size());
   std::vector<size_t> unresolved;
   unresolved.reserve(ids.size());
 
@@ -492,9 +511,12 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
         if (hit->gen_region != UINT32_MAX) {
           for (const auto& peer : peers) {
             if (peer->node_id != hit->home_node) continue;
+            // Qualified Read: the bare name would also match the
+            // fabric-fault stall in tf::AttachedRegion::Read in the
+            // mdos-check call graph.
             if (peer->gen_reader.has_value() &&
                 (peer->gen_reader->Epoch() != hit->gen_epoch ||
-                 peer->gen_reader->Read(hit->gen_slot) !=
+                 peer->gen_reader->GenerationReader::Read(hit->gen_slot) !=
                      hit->generation)) {
               valid = false;
             }
@@ -547,7 +569,7 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
       uint64_t slot = 0;
       if (have_gen) {
         slot = peer->gen_reader->SlotFor(ids[i]);
-        gen = peer->gen_reader->Read(slot, &wave);
+        gen = peer->gen_reader->GenerationReader::Read(slot, &wave);
       }
       auto indexed = peer->index_reader->Lookup(ids[i], &wave);
       if (!indexed.has_value()) {
@@ -579,171 +601,219 @@ RemoteStoreRegistry::LookupRemote(const std::vector<ObjectId>& ids,
   }
 
   // 3. Batched Plasma.Lookup RPC per ranked peer until everything
-  // unresolved has been asked everywhere (the paper's sync unary gRPC
-  // path), with hedged reads layered on: each wave fires the batch at
-  // the best not-yet-asked peer, and when that primary stays quiet past
-  // its EWMA-derived hedge delay the same batch goes to the next-ranked
-  // peer too (global hedge budget permitting) — first success wins, and
-  // a peer consumed as a hedge is not asked again. A wave whose every
+  // unresolved has been asked everywhere (the paper's unary gRPC path),
+  // with hedged reads layered on: each wave fires the batch at the best
+  // not-yet-asked peer, and when that primary stays quiet past its
+  // EWMA-derived hedge delay the same batch goes to the next-ranked peer
+  // too (global hedge budget permitting) — first success wins, and a
+  // peer consumed as a hedge is not asked again. A wave whose every
   // attempt failed falls through to the next peer, so under a partition
   // the answer comes from whichever copies are reachable; when none are,
-  // the loop terminates (every attempt is deadline/timeout-bounded) with
-  // the unresolved entries nullopt instead of blocking the shard thread.
-  size_t next_peer = 0;
-  while (!unresolved.empty() && next_peer < peers.size()) {
-    if (deadline.expired()) break;
-    auto request = std::make_shared<LookupRequest>();
-    request->ids.reserve(unresolved.size());
-    for (size_t i : unresolved) request->ids.push_back(ids[i]);
+  // the op completes (every attempt is deadline/timeout-bounded) with
+  // the unresolved entries nullopt. The waves run on the I/O thread.
+  if (unresolved.empty() || peers.empty()) {
+    if (!unresolved.empty() && deadline.expired()) {
+      MutexLock lock(mutex_);
+      ++stats_.deadline_exhausted;
+    }
+    return MakeReadyFuture(std::move(out));
+  }
+  auto op = std::make_shared<LookupOp>();
+  op->ids = ids;
+  op->out = std::move(out);
+  op->unresolved = std::move(unresolved);
+  op->peers = std::move(peers);
+  op->deadline = deadline;
+  Future<plasma::DistHooks::Locations> result = op->done.GetFuture();
+  if (!loop_->Post([this, op] { StartLookupWave(op); })) FinishLookup(op);
+  return result;
+}
 
-    auto wave = std::make_shared<LookupWave>();
-    const int64_t hedge_at_ns =
-        MonotonicNanos() + HedgeDelayNs(peers[next_peer]);
-    LaunchLookupAttempt(peers[next_peer], request, deadline, wave,
-                        /*is_hedge=*/false);
-    ++next_peer;
+void RemoteStoreRegistry::StartLookupWave(const std::shared_ptr<LookupOp>& op) {
+  if (op->finished) return;
+  if (op->unresolved.empty() || op->next_peer >= op->peers.size() ||
+      op->deadline.expired()) {
+    FinishLookup(op);
+    return;
+  }
+  auto request = std::make_shared<LookupRequest>();
+  request->ids.reserve(op->unresolved.size());
+  for (size_t i : op->unresolved) request->ids.push_back(op->ids[i]);
+  op->request = std::move(request);
+  const uint64_t wave = ++op->wave;
+  op->launched = 0;
+  op->outcomes.clear();
+  op->hedge_fired = false;
+  const int64_t hedge_at_ns =
+      MonotonicNanos() + HedgeDelayNs(op->peers[op->next_peer]);
+  LaunchLookupAttempt(op, /*is_hedge=*/false);
+  // The attempt may have failed fast and settled the wave already.
+  if (op->finished || op->wave != wave) return;
+  if (options_.enable_hedged_reads && op->next_peer < op->peers.size()) {
+    op->hedge_timer = loop_->AddTimer(
+        hedge_at_ns, [this, op, wave] { OnHedgeDelay(op, wave); });
+  }
+}
 
-    bool hedge_fired = false;
-    std::optional<LookupReply> winning;
-    bool win_was_hedge = false;
-    while (!deadline.expired()) {
-      bool want_hedge = false;
-      {
-        MutexLock lock(wave->m);
-        // First success WITH a hit wins immediately. An ok-but-all-miss
-        // reply is not a win while attempts are still in flight: the
-        // slow attempt may be the one peer that actually holds the
-        // object (hedging a single-copy object pairs its holder with a
-        // fast not-found peer), so concluding on the miss would make
-        // the object unreachable for exactly as long as its holder is
-        // gray. Misses only win once every launched attempt reported.
-        for (auto& outcome : wave->outcomes) {
-          if (!outcome.reply.ok()) continue;
-          const auto& entries = outcome.reply.value().entries;
-          const bool any_found =
-              std::any_of(entries.begin(), entries.end(),
-                          [](const auto& e) { return e.found; });
-          if (any_found) {
-            win_was_hedge = outcome.is_hedge;
-            winning.emplace(std::move(outcome.reply).value());
-            break;
-          }
-        }
-        if (!winning.has_value() &&
-            wave->outcomes.size() >= wave->launched) {
-          // Every attempt reported; settle for an all-miss success (the
-          // ids move on to the next peer) or give up the wave entirely
-          // (all attempts failed).
-          for (auto& outcome : wave->outcomes) {
-            if (outcome.reply.ok()) {
-              win_was_hedge = outcome.is_hedge;
-              winning.emplace(std::move(outcome.reply).value());
-              break;
-            }
-          }
-          break;
-        }
-        if (winning.has_value()) break;
-        const int64_t now = MonotonicNanos();
-        const bool may_hedge = options_.enable_hedged_reads &&
-                               !hedge_fired && next_peer < peers.size();
-        if (may_hedge && now >= hedge_at_ns) {
-          want_hedge = true;
-        } else {
-          // Wait for an outcome — until the hedge trigger if one is
-          // still pending, never past the op budget, and in bounded
-          // slices when the budget is unbounded (the attempts
-          // themselves are rpc_timeout-bounded, so this always wakes).
-          int64_t wait_ns =
-              deadline.infinite()
-                  ? std::max<int64_t>(
-                        static_cast<int64_t>(options_.rpc_timeout_ms), 1) *
-                        1'000'000
-                  : deadline.remaining_ns();
-          if (may_hedge) wait_ns = std::min(wait_ns, hedge_at_ns - now);
-          const size_t completed = wave->outcomes.size();
-          wave->cv.WaitFor(wave->m, std::chrono::nanoseconds(wait_ns),
-                           [&]() {
-                             wave->m.AssertHeld();
-                             return wave->outcomes.size() > completed;
-                           });
-          continue;
-        }
-      }
-      if (want_hedge) {
-        hedge_fired = true;
-        if (hedge_inflight_.fetch_add(1) + 1 >
-            options_.hedge_max_inflight) {
-          hedge_inflight_.fetch_sub(1);
-          MutexLock lock(mutex_);
-          ++stats_.hedge_budget_denied;
-          continue;  // keep waiting the primary out
-        }
-        {
-          MutexLock lock(mutex_);
-          ++stats_.hedged_reads;
-        }
-        LaunchLookupAttempt(peers[next_peer], request, deadline, wave,
-                            /*is_hedge=*/true);
-        ++next_peer;
+void RemoteStoreRegistry::LaunchLookupAttempt(
+    const std::shared_ptr<LookupOp>& op, bool is_hedge) {
+  std::shared_ptr<Peer> peer = op->peers[op->next_peer++];
+  ++op->launched;
+  {
+    MutexLock lock(mutex_);
+    ++stats_.lookup_rpcs;
+  }
+  const uint64_t wave = op->wave;
+  const int64_t start = MonotonicNanos();
+  PeerCall<LookupReply>(peer, kMethodLookup, *op->request, op->deadline)
+      .Then([this, op, peer, wave, is_hedge,
+             start](Result<LookupReply>& reply) {
+        // Every outcome feeds the health machine, including those of an
+        // abandoned wave's attempts.
+        const bool ok = reply.ok();
+        RecordPeerResult(peer, ok || !IsConnectivityError(reply.status()));
+        if (ok) RecordPeerLatency(peer, MonotonicNanos() - start);
+        if (is_hedge) hedge_inflight_.fetch_sub(1);
+        if (op->finished || op->wave != wave) return;
+        op->outcomes.push_back({std::move(reply), is_hedge});
+        SettleLookupWave(op);
+      });
+}
+
+void RemoteStoreRegistry::OnHedgeDelay(const std::shared_ptr<LookupOp>& op,
+                                       uint64_t wave) {
+  op->hedge_timer = rpc::ChannelLoop::TimerId{};
+  if (op->finished || op->wave != wave || op->hedge_fired ||
+      op->next_peer >= op->peers.size()) {
+    return;
+  }
+  op->hedge_fired = true;
+  if (hedge_inflight_.fetch_add(1) + 1 > options_.hedge_max_inflight) {
+    hedge_inflight_.fetch_sub(1);
+    MutexLock lock(mutex_);
+    ++stats_.hedge_budget_denied;
+    return;  // keep waiting the primary out
+  }
+  {
+    MutexLock lock(mutex_);
+    ++stats_.hedged_reads;
+  }
+  LaunchLookupAttempt(op, /*is_hedge=*/true);
+}
+
+void RemoteStoreRegistry::SettleLookupWave(
+    const std::shared_ptr<LookupOp>& op) {
+  // First success WITH a hit wins immediately. An ok-but-all-miss reply
+  // is not a win while attempts are still in flight: the slow attempt
+  // may be the one peer that actually holds the object (hedging a
+  // single-copy object pairs its holder with a fast not-found peer), so
+  // concluding on the miss would make the object unreachable for
+  // exactly as long as its holder is gray. Misses only win once every
+  // launched attempt reported.
+  LookupOp::Outcome* winner = nullptr;
+  for (auto& outcome : op->outcomes) {
+    if (!outcome.reply.ok()) continue;
+    const auto& entries = outcome.reply.value().entries;
+    if (std::any_of(entries.begin(), entries.end(),
+                    [](const auto& e) { return e.found; })) {
+      winner = &outcome;
+      break;
+    }
+  }
+  if (winner == nullptr) {
+    if (op->outcomes.size() < op->launched) return;  // keep waiting
+    // Every attempt reported; settle for an all-miss success (the ids
+    // move on to the next peer) or give up the wave entirely (all
+    // attempts failed).
+    for (auto& outcome : op->outcomes) {
+      if (outcome.reply.ok()) {
+        winner = &outcome;
+        break;
       }
     }
-
-    if (!winning.has_value()) continue;  // wave failed; try the next peer
-    if (win_was_hedge) {
+  }
+  loop_->CancelTimer(op->hedge_timer);
+  if (winner != nullptr) {
+    if (winner->is_hedge) {
       MutexLock lock(mutex_);
       ++stats_.hedge_wins;
     }
+    const auto& entries = winner->reply.value().entries;
     std::vector<size_t> still_unresolved;
-    for (size_t k = 0; k < unresolved.size(); ++k) {
-      size_t i = unresolved[k];
-      if (k < winning->entries.size() && winning->entries[k].found) {
-        out[i] = winning->entries[k].location;
-        if (cache_ != nullptr) cache_->Put(ids[i], *out[i]);
+    for (size_t k = 0; k < op->unresolved.size(); ++k) {
+      size_t i = op->unresolved[k];
+      if (k < entries.size() && entries[k].found) {
+        op->out[i] = entries[k].location;
+        if (cache_ != nullptr) cache_->Put(op->ids[i], *op->out[i]);
       } else {
         still_unresolved.push_back(i);
       }
     }
-    unresolved.swap(still_unresolved);
+    op->unresolved.swap(still_unresolved);
   }
-  if (!unresolved.empty() && deadline.expired()) {
+  // Abandon the wave (its stragglers only feed the health machine) and
+  // move on: the next peer for what is still unresolved, or done.
+  ++op->wave;
+  StartLookupWave(op);
+}
+
+void RemoteStoreRegistry::FinishLookup(const std::shared_ptr<LookupOp>& op) {
+  if (op->finished) return;
+  op->finished = true;
+  if (op->hedge_timer.seq != 0) loop_->CancelTimer(op->hedge_timer);
+  if (!op->unresolved.empty() && op->deadline.expired()) {
     // Gave up with ids unresolved because the budget ran out — whether
     // it died before the first wave or inside the last one.
     MutexLock lock(mutex_);
     ++stats_.deadline_exhausted;
   }
-  return out;
+  op->done.Set(std::move(op->out));
 }
 
-bool RemoteStoreRegistry::IdKnownRemotely(const ObjectId& id,
-                                          Deadline deadline) {
+Future<bool> RemoteStoreRegistry::IdKnownRemotely(const ObjectId& id,
+                                                  Deadline deadline) {
+  auto peers = SnapshotLivePeers();
+  if (peers.empty()) return MakeReadyFuture(false);
+  if (deadline.expired()) {
+    // Out of budget with peers unasked: report unknown — Create-side
+    // uniqueness probing degrades to best-effort rather than stalling
+    // the client past its deadline.
+    MutexLock lock(mutex_);
+    ++stats_.deadline_exhausted;
+    return MakeReadyFuture(false);
+  }
+  // Every live peer is asked at once. The id is known as soon as one
+  // peer says so, unknown once all have answered (a peer that could not
+  // answer counts as not knowing it).
+  struct Probe {
+    explicit Probe(size_t n) : pending(n) {}
+    std::atomic<size_t> pending;
+    Promise<bool> known;
+  };
+  auto probe = std::make_shared<Probe>(peers.size());
+  {
+    MutexLock lock(mutex_);
+    stats_.probe_rpcs += peers.size();
+  }
   ProbeRequest request;
   request.id = id;
-  for (const auto& peer : SnapshotLivePeers()) {
-    if (deadline.expired()) {
-      // Out of budget with peers unasked: report unknown — Create-side
-      // uniqueness probing degrades to best-effort rather than stalling
-      // the client past its deadline.
-      MutexLock lock(mutex_);
-      ++stats_.deadline_exhausted;
-      break;
-    }
-    {
-      MutexLock lock(mutex_);
-      ++stats_.probe_rpcs;
-    }
-    auto reply = PeerCall<ProbeReply>(peer, kMethodProbe, request, deadline);
-    if (!reply.ok()) {
-      RecordPeerResult(peer, !IsConnectivityError(reply.status()));
-      continue;
-    }
-    RecordPeerResult(peer, true);
-    if (reply->exists) return true;
+  Future<bool> known = probe->known.GetFuture();
+  for (const auto& peer : peers) {
+    PeerCall<ProbeReply>(peer, kMethodProbe, request, deadline)
+        .Then([this, peer, probe](Result<ProbeReply>& reply) {
+          if (!reply.ok()) {
+            RecordPeerResult(peer, !IsConnectivityError(reply.status()));
+          } else {
+            RecordPeerResult(peer, true);
+            if (reply->exists) probe->known.Set(true);
+          }
+          if (probe->pending.fetch_sub(1) == 1) probe->known.Set(false);
+        });
   }
-  return false;
+  return known;
 }
 
-Status RemoteStoreRegistry::PinRemote(
+Future<Status> RemoteStoreRegistry::PinRemote(
     const ObjectId& id, const plasma::RemoteObjectLocation& loc,
     Deadline deadline) {
   if (deadline.expired()) {
@@ -753,17 +823,17 @@ Status RemoteStoreRegistry::PinRemote(
       MutexLock lock(mutex_);
       ++stats_.deadline_exhausted;
     }
-    return Status::DeadlineExceeded(
-        "pin: deadline exhausted before the RPC");
+    return MakeReadyFuture(
+        Status::DeadlineExceeded("pin: deadline exhausted before the RPC"));
   }
   auto peer = FindLivePeer(loc.home_node);
   if (peer == nullptr) {
     // Unknown or dead home: the location is unusable; make sure it never
     // serves another Get from the cache.
     if (cache_ != nullptr) cache_->Invalidate(id);
-    return Status::Unavailable("pin: peer node " +
-                               std::to_string(loc.home_node) +
-                               " is unavailable");
+    return MakeReadyFuture(Status::Unavailable(
+        "pin: peer node " + std::to_string(loc.home_node) +
+        " is unavailable"));
   }
   PinRequest request;
   request.id = id;
@@ -773,37 +843,39 @@ Status RemoteStoreRegistry::PinRemote(
     ++stats_.pin_rpcs;
   }
   const int64_t rpc_start = MonotonicNanos();
-  auto reply = PeerCall<PinReply>(peer, kMethodPin, request, deadline);
-  Status status =
-      reply.ok() ? reply->status : reply.status();
-  RecordPeerResult(peer, !IsConnectivityError(status));
-  if (reply.ok()) RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
-  if (!status.ok()) {
-    // Either the peer is unreachable or it no longer has the object
-    // (e.g. a lost DeleteNotice left us a stale cache entry). Both ways
-    // the location must not be served again: invalidate and let the
-    // caller re-run the full lookup path.
-    if (cache_ != nullptr) cache_->Invalidate(id);
-    MutexLock lock(mutex_);
-    if (status.Is(StatusCode::kDeadlineExceeded)) {
-      // The RPC itself burned the remaining budget (the expired-upfront
-      // case is counted above).
-      ++stats_.deadline_exhausted;
-    }
-    ++stats_.stale_pins_detected;
-    return status;
-  }
-  usage_.RecordPin(id, loc);
-  return Status::OK();
+  return PeerCall<PinReply>(peer, kMethodPin, request, deadline)
+      .Then([this, peer, id, loc, rpc_start](Result<PinReply>& reply) {
+        Status status = reply.ok() ? reply->status : reply.status();
+        RecordPeerResult(peer, !IsConnectivityError(status));
+        if (reply.ok()) RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
+        if (!status.ok()) {
+          // Either the peer is unreachable or it no longer has the
+          // object (e.g. a lost DeleteNotice left us a stale cache
+          // entry). Both ways the location must not be served again:
+          // invalidate and let the caller re-run the full lookup path.
+          if (cache_ != nullptr) cache_->Invalidate(id);
+          MutexLock lock(mutex_);
+          if (status.Is(StatusCode::kDeadlineExceeded)) {
+            // The RPC itself burned the remaining budget (the
+            // expired-upfront case is counted above).
+            ++stats_.deadline_exhausted;
+          }
+          ++stats_.stale_pins_detected;
+          return status;
+        }
+        usage_.RecordPin(id, loc);
+        return Status::OK();
+      });
 }
 
-void RemoteStoreRegistry::UnpinRemote(
+Future<Status> RemoteStoreRegistry::UnpinRemote(
     const ObjectId& id, const plasma::RemoteObjectLocation& loc) {
   // Only unpin what we recorded: a pin whose RPC failed (or that targeted
   // a dead peer) has no remote state to release.
-  if (!usage_.RecordUnpin(id)) return;
+  if (!usage_.RecordUnpin(id)) return MakeReadyFuture(Status::OK());
   auto peer = FindLivePeer(loc.home_node);
-  if (peer == nullptr) return;  // no remote state left to release
+  // No remote state left to release.
+  if (peer == nullptr) return MakeReadyFuture(Status::OK());
   UnpinRequest request;
   request.id = id;
   request.peer_node = self_node_;
@@ -811,59 +883,74 @@ void RemoteStoreRegistry::UnpinRemote(
     MutexLock lock(mutex_);
     ++stats_.pin_rpcs;
   }
-  auto reply = peer->channel->CallTyped<UnpinReply>(
-      kMethodUnpin, request, options_.rpc_timeout_ms);
-  Status status = reply.ok() ? reply->status : reply.status();
-  if (IsConnectivityError(status)) {
-    // The unpin never reached the peer: re-record it so the pin is not
-    // leaked — ReleaseAllPins (or a later unpin) retries. Application
-    // errors (KeyError) mean the remote side already forgot the pin;
-    // nothing to re-record. Re-record BEFORE feeding the failure to the
-    // health machine: if this failure is the one that declares the peer
-    // dead, DropPinsForNode must see (and drop) this pin too.
-    usage_.RecordPin(id, loc);
-  }
-  RecordPeerResult(peer, !IsConnectivityError(status));
+  return peer->channel
+      ->CallTypedAsync<UnpinReply>(kMethodUnpin, request,
+                                   options_.rpc_timeout_ms)
+      .Then([this, peer, id, loc](Result<UnpinReply>& reply) {
+        Status status = reply.ok() ? reply->status : reply.status();
+        if (IsConnectivityError(status)) {
+          // The unpin never reached the peer: re-record it so the pin is
+          // not leaked — ReleaseAllPins (or a later unpin) retries.
+          // Application errors (KeyError) mean the remote side already
+          // forgot the pin; nothing to re-record. Re-record BEFORE
+          // feeding the failure to the health machine: if this failure
+          // is the one that declares the peer dead, DropPinsForNode must
+          // see (and drop) this pin too.
+          usage_.RecordPin(id, loc);
+        }
+        RecordPeerResult(peer, !IsConnectivityError(status));
+        return status;
+      });
 }
 
-void RemoteStoreRegistry::NotifyDeleted(const ObjectId& id) {
+Future<Status> RemoteStoreRegistry::NotifyDeleted(const ObjectId& id) {
   if (cache_ != nullptr) cache_->Invalidate(id);
   DeleteNotice notice;
   notice.id = id;
   notice.from_node = self_node_;
+  std::vector<std::shared_ptr<Peer>> targets;
   for (const auto& peer : SnapshotPeers()) {
-    {
-      // One critical section for the state check AND the drop/queue, so
-      // a concurrent suspect→dead transition can't park a notice on a
-      // peer whose queue was just cleared by the death path.
-      MutexLock lock(mutex_);
-      if (peer->state == PeerState::kDead) {
-        ++peer->dropped_notices;
-        ++stats_.notices_dropped;
-        continue;
-      }
-      if (peer->state == PeerState::kSuspect) {
-        // Park the notice; the queue is flushed when the peer recovers,
-        // so its lookup cache reconverges.
-        ParkNoticeLocked(*peer, notice);
-        continue;
-      }
+    // One critical section for the state check AND the drop/queue, so a
+    // concurrent suspect→dead transition can't park a notice on a peer
+    // whose queue was just cleared by the death path.
+    MutexLock lock(mutex_);
+    if (peer->state == PeerState::kDead) {
+      ++peer->dropped_notices;
+      ++stats_.notices_dropped;
+      continue;
     }
-    auto reply = peer->channel->CallTyped<DeleteNoticeAck>(
-        kMethodDeleteNotice, notice, options_.rpc_timeout_ms);
-    if (!reply.ok()) {
-      bool connectivity = IsConnectivityError(reply.status());
-      RecordPeerResult(peer, !connectivity);
-      if (connectivity) {
-        // The notice was lost in flight; park it for the recovery flush
-        // (dropped if the failure just declared the peer dead).
-        MutexLock lock(mutex_);
-        ParkNoticeLocked(*peer, notice);
-      }
-    } else {
-      RecordPeerResult(peer, true);
+    if (peer->state == PeerState::kSuspect) {
+      // Park the notice; the queue is flushed when the peer recovers,
+      // so its lookup cache reconverges.
+      ParkNoticeLocked(*peer, notice);
+      continue;
     }
+    targets.push_back(peer);
   }
+  if (targets.empty()) return MakeReadyFuture(Status::OK());
+  auto fan = std::make_shared<FanIn>(targets.size());
+  for (const auto& peer : targets) {
+    peer->channel
+        ->CallTypedAsync<DeleteNoticeAck>(kMethodDeleteNotice, notice,
+                                          options_.rpc_timeout_ms)
+        .Then([this, peer, notice, fan](Result<DeleteNoticeAck>& reply) {
+          if (!reply.ok()) {
+            bool connectivity = IsConnectivityError(reply.status());
+            RecordPeerResult(peer, !connectivity);
+            if (connectivity) {
+              // The notice was lost in flight; park it for the recovery
+              // flush (dropped if the failure just declared the peer
+              // dead).
+              MutexLock lock(mutex_);
+              ParkNoticeLocked(*peer, notice);
+            }
+          } else {
+            RecordPeerResult(peer, true);
+          }
+          fan->Arrive();
+        });
+  }
+  return fan->done.GetFuture();
 }
 
 std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
@@ -910,23 +997,16 @@ RemoteStoreRegistry::GetRobustnessCounters() {
   return counters;
 }
 
-std::vector<uint32_t> RemoteStoreRegistry::ReplicateObject(
+Future<std::vector<uint32_t>> RemoteStoreRegistry::ReplicateObject(
     const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
     uint64_t metadata_size, uint32_t copies_wanted,
     const std::vector<uint32_t>& exclude, uint32_t origin,
     uint32_t desired) {
-  std::vector<uint32_t> accepted;
-  if (copies_wanted == 0) return accepted;
-  auto candidates = SnapshotRankedPeers();
-  candidates.erase(
-      std::remove_if(candidates.begin(), candidates.end(),
-                     [&](const std::shared_ptr<Peer>& peer) {
-                       return std::find(exclude.begin(), exclude.end(),
-                                        peer->node_id) != exclude.end();
-                     }),
-      candidates.end());
-
-  ReplicateRequest request;
+  if (copies_wanted == 0) return MakeReadyFuture(std::vector<uint32_t>{});
+  auto push = std::make_shared<ReplicaPush>();
+  push->exclude = exclude;
+  push->wanted = copies_wanted;
+  ReplicateRequest& request = push->request;
   request.id = id;
   request.from_node = self_node_;
   request.origin_node = origin;
@@ -935,65 +1015,129 @@ std::vector<uint32_t> RemoteStoreRegistry::ReplicateObject(
   request.metadata_size = metadata_size;
   request.payload.assign(reinterpret_cast<const char*>(bytes),
                          data_size + metadata_size);
-  for (const auto& peer : candidates) {
-    if (accepted.size() >= copies_wanted) break;
-    // Each push carries the full copy set as believed at send time:
-    // current holders, acceptors so far, and this target. A later
-    // target's record is therefore a superset of an earlier one's —
-    // worst case two survivors both elect themselves healer after a
-    // death and push duplicate copies, which AcceptReplica absorbs
-    // idempotently.
-    request.copy_nodes = exclude;
-    for (uint32_t node : accepted) request.copy_nodes.push_back(node);
-    request.copy_nodes.push_back(peer->node_id);
-    {
-      MutexLock lock(mutex_);
-      ++stats_.replicate_rpcs;
+  Future<std::vector<uint32_t>> accepted = push->done.GetFuture();
+  bool start_now = false;
+  {
+    MutexLock lock(mutex_);
+    start_now = !push_active_;
+    if (start_now) {
+      push_active_ = true;
+    } else {
+      queued_pushes_.push_back(push);
     }
-    const int64_t rpc_start = MonotonicNanos();
-    auto reply = peer->channel->CallTyped<ReplicateReply>(
-        kMethodReplicate, request, options_.rpc_timeout_ms);
-    Status status = reply.ok() ? reply->status : reply.status();
-    RecordPeerResult(peer, !IsConnectivityError(status));
-    if (status.ok()) {
-      RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
-      accepted.push_back(peer->node_id);
-    }
-    // Application-level rejections (the id is mid-create there, the peer
-    // is out of memory) just move on to the next ranked candidate.
   }
+  if (start_now) StartPush(push);
   return accepted;
 }
 
-void RemoteStoreRegistry::DropReplicas(
+void RemoteStoreRegistry::StartPush(const std::shared_ptr<ReplicaPush>& push) {
+  const std::vector<uint32_t>& exclude = push->exclude;
+  push->candidates = SnapshotRankedPeers();
+  push->candidates.erase(
+      std::remove_if(push->candidates.begin(), push->candidates.end(),
+                     [&](const std::shared_ptr<Peer>& peer) {
+                       return std::find(exclude.begin(), exclude.end(),
+                                        peer->node_id) != exclude.end();
+                     }),
+      push->candidates.end());
+  PushNextReplica(push);
+}
+
+void RemoteStoreRegistry::FinishPush(const std::shared_ptr<ReplicaPush>& push) {
+  std::shared_ptr<ReplicaPush> next;
+  {
+    MutexLock lock(mutex_);
+    if (queued_pushes_.empty()) {
+      push_active_ = false;
+    } else {
+      next = std::move(queued_pushes_.front());
+      queued_pushes_.pop_front();
+    }
+  }
+  push->done.Set(push->accepted);
+  if (next != nullptr) StartPush(next);
+}
+
+void RemoteStoreRegistry::PushNextReplica(
+    const std::shared_ptr<ReplicaPush>& push) {
+  if (push->accepted.size() >= push->wanted ||
+      push->next >= push->candidates.size()) {
+    FinishPush(push);
+    return;
+  }
+  std::shared_ptr<Peer> peer = push->candidates[push->next++];
+  // Each push carries the full copy set as believed at send time: current
+  // holders, acceptors so far, and this target. A later target's record
+  // is therefore a superset of an earlier one's — worst case two
+  // survivors both elect themselves healer after a death and push
+  // duplicate copies, which AcceptReplica absorbs idempotently.
+  ReplicateRequest& request = push->request;
+  request.copy_nodes = push->exclude;
+  for (uint32_t node : push->accepted) request.copy_nodes.push_back(node);
+  request.copy_nodes.push_back(peer->node_id);
+  {
+    MutexLock lock(mutex_);
+    ++stats_.replicate_rpcs;
+  }
+  const int64_t rpc_start = MonotonicNanos();
+  peer->channel
+      ->CallTypedAsync<ReplicateReply>(kMethodReplicate, request,
+                                       options_.rpc_timeout_ms)
+      .Then([this, push, peer, rpc_start](Result<ReplicateReply>& reply) {
+        Status status = reply.ok() ? reply->status : reply.status();
+        RecordPeerResult(peer, !IsConnectivityError(status));
+        if (status.ok()) {
+          RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
+          push->accepted.push_back(peer->node_id);
+        }
+        // Application-level rejections (the id is mid-create there, the
+        // peer is out of memory) just move on to the next candidate.
+        PushNextReplica(push);
+      });
+}
+
+Future<Status> RemoteStoreRegistry::DropReplicas(
     const ObjectId& id, const std::vector<uint32_t>& holders) {
   ReplicaDropRequest request;
   request.id = id;
   request.from_node = self_node_;
+  std::vector<std::shared_ptr<Peer>> targets;
   for (uint32_t node : holders) {
     auto peer = FindLivePeer(node);
-    if (peer == nullptr) continue;  // dead: its copy died with it
-    {
-      MutexLock lock(mutex_);
-      ++stats_.replicate_rpcs;
-    }
-    auto reply = peer->channel->CallTyped<ReplicaDropReply>(
-        kMethodReplicaDrop, request, options_.rpc_timeout_ms);
-    Status status = reply.ok() ? reply->status : reply.status();
-    // Fire-and-forget: a holder that rejects (already dropped, or the id
-    // was re-created there) needs nothing further; a holder we cannot
-    // reach feeds the health machine and its copy is reclaimed by the
-    // death path.
-    RecordPeerResult(peer, !IsConnectivityError(status));
+    if (peer != nullptr) targets.push_back(std::move(peer));
+    // A dead holder's copy died with it.
   }
+  if (targets.empty()) return MakeReadyFuture(Status::OK());
+  {
+    MutexLock lock(mutex_);
+    stats_.replicate_rpcs += targets.size();
+  }
+  auto fan = std::make_shared<FanIn>(targets.size());
+  for (const auto& peer : targets) {
+    peer->channel
+        ->CallTypedAsync<ReplicaDropReply>(kMethodReplicaDrop, request,
+                                           options_.rpc_timeout_ms)
+        .Then([this, peer, fan](Result<ReplicaDropReply>& reply) {
+          Status status = reply.ok() ? reply->status : reply.status();
+          // A holder that rejects (already dropped, or the id was
+          // re-created there) needs nothing further; a holder we cannot
+          // reach feeds the health machine and its copy is reclaimed by
+          // the death path.
+          RecordPeerResult(peer, !IsConnectivityError(status));
+          fan->Arrive();
+        });
+  }
+  return fan->done.GetFuture();
 }
 
 void RemoteStoreRegistry::ReleaseAllPins() {
+  std::vector<Future<Status>> unpins;
   for (const auto& pin : usage_.Snapshot()) {
     for (uint32_t i = 0; i < pin.count; ++i) {
-      UnpinRemote(pin.id, pin.location);
+      unpins.push_back(UnpinRemote(pin.id, pin.location));
     }
   }
+  WaitAll(unpins);
 }
 
 void RemoteStoreRegistry::StartHealthMonitor() {

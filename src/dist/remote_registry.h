@@ -29,15 +29,24 @@
 // fires the on-peer-dead callback (the cluster layer wires it to
 // Store::ReleasePinsForPeer so the corpse stops blocking eviction).
 //
-// Thread-safety: LookupRemote/IdKnownRemotely/Pin/Unpin may be called
-// concurrently from several of the store's shard threads (the sharded
-// core resolves remote ids from whichever shard homes the requesting
-// connection); AddPeer/ReleaseAllPins from control threads; DeleteNotice
-// invalidations land on the RPC server thread; the heartbeat runs its
-// own thread. Peer-list and health access is mutex-guarded, RpcChannels
-// are internally synchronized, the lookup cache and usage tracker carry
-// their own mutexes, and RPC calls are always issued outside the
-// registry mutex.
+// Completion model: every DistHooks call returns at once with a future.
+// Peer RPCs go out on pipelined channels that share one I/O thread (the
+// registry's rpc::ChannelLoop, which owns every peer socket); independent
+// calls are in flight together — the uniqueness probe asks every live
+// peer at once, delete notices leave with the replica drops — and their
+// outcomes complete the futures on that thread. A call that needs no
+// peer (zero peers, a cache or index hit, a dead home) returns an
+// already-complete future.
+//
+// Thread-safety: the DistHooks calls may come concurrently from several
+// of the store's shard threads (the sharded core resolves remote ids
+// from whichever shard homes the requesting connection); AddPeer/
+// ReleaseAllPins from control threads; DeleteNotice invalidations land
+// on the RPC server thread; the heartbeat runs its own thread; RPC
+// outcomes (health transitions, hedging, the death handler) run on the
+// I/O thread. Peer-list and health access is mutex-guarded, the lookup
+// cache and usage tracker carry their own mutexes, and no future is
+// completed while the registry mutex is held.
 #pragma once
 
 #include <atomic>
@@ -51,6 +60,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/future.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "dist/lookup_cache.h"
@@ -171,13 +181,15 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   void StopHealthMonitor() EXCLUDES(heartbeat_mutex_);
 
   // Invoked (outside the registry mutex, from whichever thread observed
-  // the failure) whenever a peer transitions to dead. The cluster layer
-  // wires this to Store::ReleasePinsForPeer.
+  // the failure — usually the I/O thread, so it must not block) whenever
+  // a peer transitions to dead. The cluster layer wires this to
+  // Store::ReleasePinsForPeer.
   void SetPeerDeathHandler(std::function<void(uint32_t)> handler) {
     on_peer_dead_ = std::move(handler);
   }
 
-  // Unpins everything this node still holds (shutdown path). Idempotent.
+  // Unpins everything this node still holds and waits for the unpins
+  // (shutdown path; never call it on an event loop). Idempotent.
   void ReleaseAllPins();
 
   // nullptr when the cache extension is disabled.
@@ -187,43 +199,44 @@ class RemoteStoreRegistry : public plasma::DistHooks {
 
   // ---- DistHooks (called by the owning store) -------------------------
 
-  std::vector<std::optional<plasma::RemoteObjectLocation>> LookupRemote(
+  Future<plasma::DistHooks::Locations> LookupRemote(
       const std::vector<ObjectId>& ids, Deadline deadline) override;
-  [[nodiscard]] bool IdKnownRemotely(const ObjectId& id,
-                                     Deadline deadline) override;
-  Status PinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc,
-                   Deadline deadline) override;
-  void UnpinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc) override;
-  void NotifyDeleted(const ObjectId& id) override;
+  Future<bool> IdKnownRemotely(const ObjectId& id,
+                               Deadline deadline) override;
+  Future<Status> PinRemote(const ObjectId& id,
+                           const plasma::RemoteObjectLocation& loc,
+                           Deadline deadline) override;
+  Future<Status> UnpinRemote(const ObjectId& id,
+                             const plasma::RemoteObjectLocation& loc) override;
+  Future<Status> NotifyDeleted(const ObjectId& id) override;
   std::vector<plasma::PeerStatsEntry> PeerHealth() override;
   uint64_t GenerationRetries() override;
   plasma::DistHooks::RobustnessCounters GetRobustnessCounters() override;
 
   // Deadline-less conveniences (control paths and tests): unbounded
   // budget, same behavior as before deadlines existed.
-  std::vector<std::optional<plasma::RemoteObjectLocation>> LookupRemote(
+  Future<plasma::DistHooks::Locations> LookupRemote(
       const std::vector<ObjectId>& ids) {
     return LookupRemote(ids, Deadline::Infinite());
   }
-  [[nodiscard]] bool IdKnownRemotely(const ObjectId& id) {
+  Future<bool> IdKnownRemotely(const ObjectId& id) {
     return IdKnownRemotely(id, Deadline::Infinite());
   }
-  Status PinRemote(const ObjectId& id,
-                   const plasma::RemoteObjectLocation& loc) {
+  Future<Status> PinRemote(const ObjectId& id,
+                           const plasma::RemoteObjectLocation& loc) {
     return PinRemote(id, loc, Deadline::Infinite());
   }
   // Replication fan-out: pushes the bytes to up to `copies_wanted` live
-  // peers not in `exclude`, preferring healthy peers with the lowest
-  // observed RPC latency (EWMA). Returns the acceptors' node ids.
-  std::vector<uint32_t> ReplicateObject(
+  // peers not in `exclude`, one at a time in preference order (healthy
+  // peers with the lowest observed RPC latency, EWMA, first), until
+  // enough accepted. Completes with the acceptors' node ids.
+  Future<std::vector<uint32_t>> ReplicateObject(
       const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
       uint64_t metadata_size, uint32_t copies_wanted,
       const std::vector<uint32_t>& exclude, uint32_t origin,
       uint32_t desired) override;
-  void DropReplicas(const ObjectId& id,
-                    const std::vector<uint32_t>& holders) override;
+  Future<Status> DropReplicas(const ObjectId& id,
+                              const std::vector<uint32_t>& holders) override;
 
  private:
   struct Peer {
@@ -295,18 +308,19 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   // which retries transient transport faults within the clamped budget
   // and stamps the remaining milliseconds on every attempt.
   template <typename ReplyT, typename RequestT>
-  Result<ReplyT> PeerCall(const std::shared_ptr<Peer>& peer,
-                          const std::string& method,
-                          const RequestT& request, Deadline deadline) {
+  Future<Result<ReplyT>> PeerCall(const std::shared_ptr<Peer>& peer,
+                                  const std::string& method,
+                                  const RequestT& request,
+                                  Deadline deadline) {
     if (deadline.infinite()) {
-      return peer->channel->template CallTyped<ReplyT>(
+      return peer->channel->template CallTypedAsync<ReplyT>(
           method, request, options_.rpc_timeout_ms);
     }
     Deadline bound = Deadline::Min(
         deadline,
         Deadline::AfterMs(static_cast<int64_t>(options_.rpc_timeout_ms)));
-    return peer->channel->template CallTypedDeadline<ReplyT>(method,
-                                                             request, bound);
+    return peer->channel->template CallTypedAsync<ReplyT>(method, request,
+                                                          bound);
   }
 
   // EWMA-derived hedge trigger delay for `peer` (ns), clamped to the
@@ -315,35 +329,35 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   int64_t HedgeDelayNs(const std::shared_ptr<Peer>& peer) const
       EXCLUDES(mutex_);
 
-  // One hedged lookup wave: the batched request in flight at one or
-  // more ranked peers, first success wins. Waves are independent —
-  // attempts from an abandoned wave finish into their own state and
-  // die with it.
-  struct LookupWave {
-    Mutex m;
-    CondVar cv;
-    struct Outcome {
-      std::shared_ptr<Peer> peer;
-      Result<LookupReply> reply;
-      bool is_hedge = false;
-      Outcome(std::shared_ptr<Peer> p, Result<LookupReply> r, bool h)
-          : peer(std::move(p)), reply(std::move(r)), is_hedge(h) {}
-    };
-    std::vector<Outcome> outcomes GUARDED_BY(m);
-    uint32_t launched GUARDED_BY(m) = 0;
-  };
-  // Fires the wave's request at `peer` on a detached (but inflight-
-  // tracked) thread; the outcome lands in `wave` and wakes its waiter.
-  void LaunchLookupAttempt(std::shared_ptr<Peer> peer,
-                           std::shared_ptr<const LookupRequest> request,
-                           Deadline deadline,
-                           std::shared_ptr<LookupWave> wave, bool is_hedge);
+  // The RPC half of one LookupRemote: hedged waves over the ranked
+  // peers, driven on the I/O thread (see LookupRemote).
+  struct LookupOp;
+  void StartLookupWave(const std::shared_ptr<LookupOp>& op);
+  void LaunchLookupAttempt(const std::shared_ptr<LookupOp>& op,
+                           bool is_hedge);
+  void OnHedgeDelay(const std::shared_ptr<LookupOp>& op, uint64_t wave);
+  void SettleLookupWave(const std::shared_ptr<LookupOp>& op);
+  void FinishLookup(const std::shared_ptr<LookupOp>& op);
+
+  // Replication pushes run one at a time (each carries a full copy of
+  // its object, as when seals replicated inline): a push ranks its
+  // candidates when it starts, tries them in order (PushNextReplica),
+  // and on finishing hands the turn to the next queued push.
+  struct ReplicaPush;
+  void StartPush(const std::shared_ptr<ReplicaPush>& push);
+  void PushNextReplica(const std::shared_ptr<ReplicaPush>& push);
+  void FinishPush(const std::shared_ptr<ReplicaPush>& push)
+      EXCLUDES(mutex_);
+
   // Parks a DeleteNotice for later flush: dead peers drop it, a full
   // queue evicts the oldest.
   void ParkNoticeLocked(Peer& peer, const DeleteNotice& notice)
       REQUIRES(mutex_);
-  // Transition bookkeeping; both return work to run outside the mutex.
+  // Transition bookkeeping, run outside the mutex.
   void HandlePeerDeath(uint32_t node_id);
+  // Sends `notices` to `peer` one after another (a chain of completions,
+  // so it never blocks its caller); a connectivity failure re-parks the
+  // rest.
   void FlushQueuedNotices(const std::shared_ptr<Peer>& peer,
                           std::deque<DeleteNotice> notices);
 
@@ -360,10 +374,18 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   std::unique_ptr<LookupCache> cache_;
   UsageTracker usage_;
   std::function<void(uint32_t)> on_peer_dead_;
+  // The I/O thread owning every peer socket (shared by the channels).
+  std::shared_ptr<rpc::ChannelLoop> loop_;
+  // Set by the destructor before the loop stops: the calls it fails then
+  // must not move the health machine.
+  std::atomic<bool> shutting_down_{false};
 
   mutable Mutex mutex_;
   std::vector<std::shared_ptr<Peer>> peers_ GUARDED_BY(mutex_);
   RegistryStats stats_ GUARDED_BY(mutex_);
+  // The replication push in flight and those waiting their turn.
+  bool push_active_ GUARDED_BY(mutex_) = false;
+  std::deque<std::shared_ptr<ReplicaPush>> queued_pushes_ GUARDED_BY(mutex_);
 
   // Heartbeat thread state. heartbeat_mutex_ is a leaf lock: never
   // taken with mutex_ held (RecordPeerResult checks it only after
@@ -376,12 +398,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   // Hedge budget: attempts currently in flight beyond each wave's
   // primary. Bounded by options_.hedge_max_inflight.
   std::atomic<uint32_t> hedge_inflight_{0};
-  // Every detached attempt thread is counted here; the destructor waits
-  // for zero so no attempt outlives the registry. Leaf lock like
-  // heartbeat_mutex_.
-  mutable Mutex async_mutex_ ACQUIRED_AFTER(mutex_);
-  CondVar async_cv_;
-  uint64_t async_inflight_ GUARDED_BY(async_mutex_) = 0;
 };
 
 }  // namespace mdos::dist

@@ -5,10 +5,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -121,6 +123,40 @@ Result<UniqueFd> TcpConnect(const std::string& host, uint16_t port,
   }
 }
 
+Result<UniqueFd> TcpConnectStart(const std::string& host, uint16_t port,
+                                 bool* in_progress) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return Status::Invalid("bad IPv4 address: " + host);
+  }
+  UniqueFd fd(
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!fd) return Status::FromErrno("socket(AF_INET)");
+  *in_progress = false;
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    if (errno != EINPROGRESS) return Status::FromErrno("connect(tcp)");
+    *in_progress = true;
+  }
+  (void)SetNoDelay(fd.get());
+  return fd;
+}
+
+Status FinishConnect(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
+    return Status::FromErrno("getsockopt(SO_ERROR)");
+  }
+  if (err != 0) {
+    errno = err;
+    return Status::FromErrno("connect(tcp)");
+  }
+  return Status::OK();
+}
+
 Result<UniqueFd> Accept(int listen_fd) {
   while (true) {
     int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
@@ -230,6 +266,31 @@ Status ReadAll(int fd, void* data, size_t size) {
     done += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+ReadState ReadAvailable(int fd, std::vector<uint8_t>* buf,
+                        size_t max_bytes) {
+  size_t budget = max_bytes;
+  while (budget > 0) {
+    int avail = 0;
+    if (::ioctl(fd, FIONREAD, &avail) != 0 || avail <= 0) avail = 4096;
+    const size_t want = std::min(static_cast<size_t>(avail), budget);
+    const size_t base = buf->size();
+    buf->resize(base + want);
+    ssize_t n = ::recv(fd, buf->data() + base, want, MSG_DONTWAIT);
+    if (n > 0) {
+      buf->resize(base + static_cast<size_t>(n));
+      budget -= static_cast<size_t>(n);
+      if (static_cast<size_t>(n) < want) return ReadState::kDrained;
+      continue;
+    }
+    buf->resize(base);
+    if (n == 0) return ReadState::kClosed;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadState::kDrained;
+    return ReadState::kClosed;
+  }
+  return ReadState::kMore;
 }
 
 Status SetNoDelay(int fd) {

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "net/fd.h"
@@ -33,6 +34,15 @@ Result<UniqueFd> TcpListen(uint16_t port, uint16_t* bound_port,
 
 Result<UniqueFd> TcpConnect(const std::string& host, uint16_t port,
                             int timeout_ms = 2000);
+
+// Starts a non-blocking connect (the socket is O_NONBLOCK). A refusal the
+// kernel reports at once fails here; otherwise *in_progress says whether
+// the handshake is still running — the caller then waits for the socket
+// to turn writable and calls FinishConnect.
+Result<UniqueFd> TcpConnectStart(const std::string& host, uint16_t port,
+                                 bool* in_progress);
+// Outcome of a connect started by TcpConnectStart (SO_ERROR).
+Status FinishConnect(int fd);
 
 // --- Common --------------------------------------------------------------
 
@@ -64,6 +74,17 @@ Result<bool> WaitWritable(int fd, int timeout_ms);
 // Reads exactly `size` bytes. Returns NotConnected on clean EOF at offset
 // zero and ProtocolError on EOF mid-message.
 Status ReadAll(int fd, void* data, size_t size);
+
+// Non-blocking receive for event loops: appends what `fd` has buffered to
+// `buf` (sized via FIONREAD, so bytes land in place), at most `max_bytes`
+// per call. kMore: it stopped at `max_bytes` and more may be queued (the
+// caller consumes what it has, then reads on — which keeps a peer that
+// pipelines large messages from ballooning the buffer); kDrained: the
+// socket is empty (EAGAIN); kClosed: EOF or a receive error.
+enum class ReadState : uint8_t { kMore, kDrained, kClosed };
+// The chunk the RPC endpoints read at a time.
+inline constexpr size_t kReadChunkBytes = 32u << 10;
+ReadState ReadAvailable(int fd, std::vector<uint8_t>* buf, size_t max_bytes);
 
 // Disables Nagle on a TCP socket (RPC latency matters in Fig. 6).
 Status SetNoDelay(int fd);

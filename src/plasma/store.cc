@@ -1,7 +1,6 @@
 #include "plasma/store.h"
 
 #include <fcntl.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -78,6 +77,60 @@ void Store::QueueReply(Shard& shard, ClientConn& conn, MessageType type,
     FlushConn(shard, conn);
   }
 }
+
+// ---- resuming after peer work -------------------------------------------
+
+template <typename T, typename Fn>
+void Store::When(Shard& shard, Future<T> future, Fn fn) {
+  if (future.Ready()) {
+    // Complete at issue (no peer had to be asked, or a fail-fast
+    // refusal): continue inline, no mailbox hop.
+    future.Then(std::move(fn));
+    return;
+  }
+  future.Then([gate = gate_, target = &shard,
+               fn = std::move(fn)](T& value) mutable {
+    MutexLock lock(gate->mutex);
+    if (!gate->open) return;
+    target->Post([fn = std::move(fn), value = std::move(value)]() mutable {
+      fn(value);
+    });
+  });
+}
+
+std::shared_ptr<Store::ClientConn> Store::LiveConn(
+    Shard& home, const std::weak_ptr<ClientConn>& weak) {
+  std::shared_ptr<ClientConn> conn = weak.lock();
+  if (conn == nullptr) return nullptr;
+  auto it = home.clients.find(conn->fd.get());
+  if (it == home.clients.end() || it->second != conn) return nullptr;
+  return conn;
+}
+
+namespace {
+
+// Completes once both futures have.
+Future<Status> AfterBoth(Future<Status> a, Future<Status> b) {
+  Promise<Status> both;
+  auto left = std::make_shared<std::atomic<int>>(2);
+  auto arrive = [both, left](Status&) mutable {
+    if (left->fetch_sub(1) == 1) both.Set(Status::OK());
+  };
+  a.Then(arrive);
+  b.Then(arrive);
+  return both.GetFuture();
+}
+
+std::unordered_map<ObjectId, RemoteObjectLocation> ToResolvedMap(
+    const std::vector<ObjectId>& ids, const DistHooks::Locations& found) {
+  std::unordered_map<ObjectId, RemoteObjectLocation> resolved;
+  for (size_t i = 0; i < ids.size() && i < found.size(); ++i) {
+    if (found[i].has_value()) resolved.emplace(ids[i], *found[i]);
+  }
+  return resolved;
+}
+
+}  // namespace
 
 void Store::MarkDirty(Shard& shard, ClientConn& conn) {
   if (conn.dirty) return;
@@ -254,6 +307,7 @@ Store::~Store() { Stop(); }
 
 Status Store::Start() {
   if (running_.load()) return Status::Invalid("store already running");
+  gate_ = std::make_shared<Gate>();
   if (!options_.spill_dir.empty()) {
     // Best-effort create; a real failure surfaces from SpillFile::Open.
     (void)::mkdir(options_.spill_dir.c_str(), 0755);
@@ -295,6 +349,11 @@ Status Store::Start() {
 }
 
 void Store::Stop() {
+  // Peer work still in flight must not resume on a stopping store.
+  {
+    MutexLock lock(gate_->mutex);
+    gate_->open = false;
+  }
   // The re-heal driver issues peer RPCs; stop it first so no replicate
   // call races the teardown of the shards it reads from.
   {
@@ -455,30 +514,8 @@ void Store::OnClientReadable(Shard& shard, int fd) {
   // FIONREAD sizes the receive scratch so bytes land directly in place:
   // no intermediate chunk buffer, no copy, and the vector's capacity is
   // reused across batches.
-  bool closed = false;
-  for (;;) {
-    int avail = 0;
-    if (::ioctl(fd, FIONREAD, &avail) != 0 || avail <= 0) avail = 4096;
-    const size_t base = conn.inbuf.size();
-    conn.inbuf.resize(base + static_cast<size_t>(avail));
-    ssize_t n =
-        ::recv(fd, conn.inbuf.data() + base, static_cast<size_t>(avail),
-               MSG_DONTWAIT);
-    if (n > 0) {
-      conn.inbuf.resize(base + static_cast<size_t>(n));
-      if (n < avail) break;  // drained at this instant
-      continue;
-    }
-    conn.inbuf.resize(base);
-    if (n == 0) {
-      closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    closed = true;
-    break;
-  }
+  const bool closed = net::ReadAvailable(fd, &conn.inbuf, SIZE_MAX) ==
+                      net::ReadState::kClosed;
 
   // Decode every complete frame as a zero-copy view into the receive
   // scratch; a pipelining client's queued requests become one batch. The
@@ -647,11 +684,13 @@ void Store::DropClient(Shard& shard, int fd) {
       remote_unpins.emplace_back(id, ref.loc);
     }
   }
-  // RPC outside any shard mutex (see HandleCreate for the rationale).
+  // Outside any shard mutex; nobody waits for these unpins.
   if (dist_hooks_ != nullptr && options_.pin_remote_objects) {
     for (const auto& [id, loc] : remote_unpins) {
-      // mdos-check: allow-blocking(DistHooks peer RPC, deadline-bounded; making the unpin path async is tracked in ROADMAP)
-      dist_hooks_->UnpinRemote(id, loc);
+      Future<Status> unpin = dist_hooks_->UnpinRemote(id, loc);
+      unpin.Then([](Status& unpinned) {
+        MDOS_WARN_IF_ERROR(unpinned, "unpin for a dropped client");
+      });
     }
   }
 }
@@ -889,52 +928,67 @@ void Store::HandleCreate(Shard& home, ClientConn& conn,
                          uint64_t request_id,
                          std::span<const uint8_t> body,
                          Deadline op_deadline) {
-  int fd = conn.fd.get();
   auto request = DecodeMessage<CreateRequest>(body.data(), body.size());
   if (!request.ok()) {
-    DropClient(home, fd);
+    DropClient(home, conn.fd.get());
     return;
   }
 
-  CreateReply reply;
-  reply.data_size = request->data_size;
-  reply.metadata_size = request->metadata_size;
-
-  Shard& owner = OwnerShard(request->id);
-
   // Local existence check.
+  Shard& owner = OwnerShard(request->id);
   bool exists_locally;
   {
     MutexLock lock(owner.mutex);
     exists_locally = owner.table.Contains(request->id);
   }
+  if (exists_locally) {
+    CreateReply reply;
+    reply.data_size = request->data_size;
+    reply.metadata_size = request->metadata_size;
+    reply.status =
+        Status::AlreadyExists("object id " + request->id.Hex() + " exists");
+    QueueReply(home, conn, MessageType::kCreateReply, request_id, reply);
+    return;
+  }
+  if (!options_.check_global_uniqueness || dist_hooks_ == nullptr) {
+    FinishCreate(home, conn, request_id, *request, false);
+    return;
+  }
   // Identifier-uniqueness probe across the distributed system (§IV-A2).
   // Deliberately outside any shard mutex: the peer answering our probe
-  // may simultaneously probe us, and its answer needs a shard mutex.
-  bool exists_remotely = false;
-  if (!exists_locally && options_.check_global_uniqueness &&
-      dist_hooks_ != nullptr) {
-    // mdos-check: allow-blocking(DistHooks uniqueness probe, bounded by the client's end-to-end deadline; async probe is tracked in ROADMAP)
-    exists_remotely = dist_hooks_->IdKnownRemotely(request->id,
-                                                   op_deadline);
-  }
-  if (exists_locally || exists_remotely) {
-    reply.status = Status::AlreadyExists(
-        "object id " + request->id.Hex() +
-        (exists_remotely ? " exists in a remote store" : " exists"));
+  // may simultaneously probe us, and its answer needs a shard mutex. The
+  // reply waits for the probe; the shard serves other clients meanwhile.
+  When(home, dist_hooks_->IdKnownRemotely(request->id, op_deadline),
+       [this, &home, weak = conn.weak_from_this(), request_id,
+        create = *request](bool& exists_remotely) {
+         if (auto live = LiveConn(home, weak)) {
+           FinishCreate(home, *live, request_id, create, exists_remotely);
+         }
+       });
+}
+
+void Store::FinishCreate(Shard& home, ClientConn& conn, uint64_t request_id,
+                         const CreateRequest& request,
+                         bool exists_remotely) {
+  CreateReply reply;
+  reply.data_size = request.data_size;
+  reply.metadata_size = request.metadata_size;
+  if (exists_remotely) {
+    reply.status = Status::AlreadyExists("object id " + request.id.Hex() +
+                                         " exists in a remote store");
     QueueReply(home, conn, MessageType::kCreateReply, request_id, reply);
     return;
   }
 
+  Shard& owner = OwnerShard(request.id);
   {
     MutexLock lock(owner.mutex);
     // Re-check: another client may have created the id while the probe
     // was in flight.
-    if (owner.table.Contains(request->id)) {
-      reply.status =
-          Status::AlreadyExists("object id " + request->id.Hex());
+    if (owner.table.Contains(request.id)) {
+      reply.status = Status::AlreadyExists("object id " + request.id.Hex());
     } else {
-      uint64_t total = request->data_size + request->metadata_size;
+      uint64_t total = request.data_size + request.metadata_size;
       if (total == 0) {
         reply.status = Status::Invalid("object must not be empty");
       } else {
@@ -943,16 +997,16 @@ void Store::HandleCreate(Shard& home, ClientConn& conn,
           reply.status = allocation.status();
         } else {
           ObjectEntry entry;
-          entry.id = request->id;
+          entry.id = request.id;
           entry.offset = allocation->offset;
-          entry.data_size = request->data_size;
-          entry.metadata_size = request->metadata_size;
-          entry.creator_fd = fd;
+          entry.data_size = request.data_size;
+          entry.metadata_size = request.metadata_size;
+          entry.creator_fd = conn.fd.get();
           // Replication intent is recorded at create time and acted on
           // at seal (the bytes exist only then). The per-object flag
           // bumps a non-replicating store to k=2 for this object.
           entry.desired_copies = std::max<uint32_t>(
-              options_.replication_factor, request->replicate ? 2 : 1);
+              options_.replication_factor, request.replicate ? 2 : 1);
           entry.origin_node = node_id_;
           entry.copy_nodes = {node_id_};
           Status added = owner.table.AddCreated(entry);
@@ -1007,20 +1061,35 @@ void Store::HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
       }
     }
   }
-  QueueReply(home, conn, MessageType::kSealReply, request_id, reply);
-  if (reply.status.ok()) {
-    // Sealing makes the object available. The sealed notice is fanned
-    // out BEFORE waking parked gets: a woken consumer may immediately
-    // Delete the object, and its deleted notice must land behind the
-    // sealed notice in every subscriber shard's FIFO mailbox — waking
-    // first would let the two push races invert the lifecycle order.
-    FanOutNotification(&home, notice);
-    FanOutSealed(&home, request->id);
-    // Replication fan-out last: the local seal is complete and the reply
-    // queued, so replica RPC latency never sits in front of the client's
-    // ack, and no shard mutex is held across the peer calls.
-    ReplicateSealed(owner, request->id);
+  if (!reply.status.ok()) {
+    QueueReply(home, conn, MessageType::kSealReply, request_id, reply);
+    return;
   }
+  // Sealing makes the object available. The sealed notice is fanned out
+  // BEFORE waking parked gets: a woken consumer may immediately Delete
+  // the object, and its deleted notice must land behind the sealed
+  // notice in every subscriber shard's FIFO mailbox — waking first would
+  // let the two push races invert the lifecycle order.
+  FanOutNotification(&home, notice);
+  FanOutSealed(&home, request->id);
+  // Replication last, with no shard mutex held across the pushes. The
+  // ack waits for them: a client holding it knows the object has its
+  // copies (each peer installs and seals its replica before answering).
+  auto push = StartReplication(owner, request->id);
+  if (!push.has_value()) {
+    QueueReply(home, conn, MessageType::kSealReply, request_id, reply);
+    return;
+  }
+  When(home, push->accepted,
+       [this, &home, &owner, id = request->id, origin = push->origin,
+        weak = conn.weak_from_this(), request_id,
+        reply](std::vector<uint32_t>& accepted) {
+         MergeReplicas(owner, id, origin, accepted);
+         if (auto live = LiveConn(home, weak)) {
+           QueueReply(home, *live, MessageType::kSealReply, request_id,
+                      reply);
+         }
+       });
 }
 
 void Store::HandleSubscribe(Shard& home, ClientConn& conn,
@@ -1171,6 +1240,7 @@ void Store::HandleGet(Shard& home, ClientConn& conn, uint64_t request_id,
 
   PendingGet pending;
   pending.fd = fd;
+  pending.conn = conn.weak_from_this();
   pending.request_id = request_id;
   pending.op_deadline = op_deadline;
   pending.order = request->ids;
@@ -1199,17 +1269,148 @@ void Store::HandleGet(Shard& home, ClientConn& conn, uint64_t request_id,
   batch_gets->push_back(std::move(pending));
 }
 
-bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
-                              PendingGet& pending, const ObjectId& id,
-                              const RemoteObjectLocation& loc,
-                              bool count_hit, Deadline deadline) {
+void Store::ResolveGets(Shard& home, ClientConn& conn,
+                        std::vector<PendingGet>& gets) {
+  if (gets.empty()) return;
+
+  // Gets the local pass satisfied answer now. For the others, one remote
+  // look-up covers every id unknown anywhere in the batch: a pipelining
+  // client that issued N Gets for remote objects pays one RPC round
+  // instead of N. The shared lookup runs under the LOOSEST deadline in
+  // the batch (any get still inside its budget keeps the RPC alive);
+  // each get's own pin uses its own deadline.
+  std::vector<PendingGet> lookups;
+  std::vector<ObjectId> unknown;
+  std::unordered_set<ObjectId> seen;
+  Deadline batch_deadline;
+  for (PendingGet& pending : gets) {
+    if (pending.missing.empty()) {
+      ReplyPendingGet(home, pending);
+      continue;
+    }
+    for (const ObjectId& id : pending.missing) {
+      if (seen.insert(id).second) unknown.push_back(id);
+    }
+    if (lookups.empty() || pending.op_deadline.infinite() ||
+        (!batch_deadline.infinite() &&
+         pending.op_deadline.when_ns() > batch_deadline.when_ns())) {
+      batch_deadline = pending.op_deadline;
+    }
+    lookups.push_back(std::move(pending));
+  }
+  if (lookups.empty()) return;
+  if (dist_hooks_ == nullptr) {
+    // No peers to ask: re-check locally, then answer or park.
+    ContinueGets(home, std::move(lookups), {}, /*final_pass=*/false);
+    return;
+  }
+  remote_lookups_.fetch_add(unknown.size(), std::memory_order_relaxed);
+  // The gets wait for the lookup off the loop; the shard serves other
+  // clients meanwhile.
+  When(home, dist_hooks_->LookupRemote(unknown, batch_deadline),
+       [this, &home, weak = conn.weak_from_this(),
+        lookups = std::move(lookups),
+        unknown](DistHooks::Locations& found) mutable {
+         // A client that left took its gets with it (DropClient released
+         // what they held).
+         if (LiveConn(home, weak) == nullptr) return;
+         ContinueGets(home, std::move(lookups),
+                      ToResolvedMap(unknown, found), /*final_pass=*/false);
+       });
+}
+
+void Store::ContinueGets(Shard& home, std::vector<PendingGet> gets,
+                         const ResolvedMap& resolved, bool final_pass) {
+  for (PendingGet& pending : gets) {
+    // A failed reply for an earlier get in this batch drops the client;
+    // every get in the batch is from that client, so stop.
+    if (LiveConn(home, pending.conn) == nullptr) return;
+    auto res = std::make_shared<GetResolution>();
+    res->final_pass = final_pass;
+    res->pending = std::move(pending);
+    std::vector<ObjectId> missing;
+    missing.swap(res->pending.missing);
+    // Held until every pin below is issued, so one that completes inline
+    // cannot finish the get early.
+    ++res->outstanding;
+    for (const ObjectId& id : missing) {
+      auto it = resolved.find(id);
+      if (it == resolved.end()) {
+        res->pending.missing.push_back(id);
+        continue;
+      }
+      // Hits are only counted where the look-up itself was counted, so
+      // stats never report more hits than look-ups.
+      AdoptRemote(home, res, id, it->second, /*count_hit=*/!final_pass,
+                  /*may_retry=*/true);
+    }
+    SettleGet(home, res);
+  }
+}
+
+void Store::AdoptRemote(Shard& home, const Resolution& res,
+                        const ObjectId& id, const RemoteObjectLocation& loc,
+                        bool count_hit, bool may_retry) {
   // Mapped data plane: a generation-stamped location is handed out as an
   // unpinned descriptor — zero RPCs to the home store. The client copies
   // through its cached region attachment and re-checks the generation;
   // a get that forced the pinned rung (fallback, bench baseline) takes
   // the classic path below.
-  const bool mapped = options_.mapped_remote_reads && !pending.pinned &&
+  const bool mapped = options_.mapped_remote_reads && !res->pending.pinned &&
                       loc.gen_region != UINT32_MAX;
+  if (mapped || !options_.pin_remote_objects || dist_hooks_ == nullptr) {
+    if (auto conn = LiveConn(home, res->pending.conn)) {
+      AdoptLocation(home, *conn, res->pending, id, loc, mapped, count_hit);
+    }
+    return;
+  }
+  // Pin before handing the location out: a failed pin means the location
+  // is stale (lost DeleteNotice, restarted peer) and must not reach the
+  // client — it would read dangling pool offsets.
+  ++res->outstanding;
+  When(home, dist_hooks_->PinRemote(id, loc, res->pending.op_deadline),
+       [this, &home, res, id, loc, count_hit, may_retry](Status& pinned) {
+         auto conn = LiveConn(home, res->pending.conn);
+         if (pinned.ok()) {
+           if (conn != nullptr) {
+             AdoptLocation(home, *conn, res->pending, id, loc,
+                           /*mapped=*/false, count_hit);
+           } else {
+             // The client left while the pin was in flight; nothing else
+             // would ever release it.
+             Future<Status> unpin = dist_hooks_->UnpinRemote(id, loc);
+             unpin.Then([](Status& unpinned) {
+               MDOS_WARN_IF_ERROR(unpinned, "unpin for a departed client");
+             });
+           }
+         } else if (may_retry && conn != nullptr) {
+           // Stale location: the dist layer invalidated its cache entry
+           // when the pin failed, so this lookup bypasses the cache and
+           // asks the peers again. One retry only — a second stale
+           // answer means the object is really gone.
+           ++res->outstanding;
+           When(home,
+                dist_hooks_->LookupRemote({id}, res->pending.op_deadline),
+                [this, &home, res, id](DistHooks::Locations& found) {
+                  if (!found.empty() && found[0].has_value()) {
+                    AdoptRemote(home, res, id, *found[0],
+                                /*count_hit=*/false, /*may_retry=*/false);
+                  } else {
+                    res->pending.missing.push_back(id);
+                  }
+                  SettleGet(home, res);
+                });
+         } else {
+           res->pending.missing.push_back(id);
+         }
+         SettleGet(home, res);
+       });
+}
+
+void Store::AdoptLocation(Shard& home, ClientConn& conn, PendingGet& pending,
+                          const ObjectId& id,
+                          const RemoteObjectLocation& loc, bool mapped,
+                          bool count_hit) {
   if (mapped) {
     auto& ref = conn.remote_refs[id];
     ref.loc = loc;
@@ -1218,12 +1419,7 @@ bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
     home.mapped_bytes.fetch_add(loc.data_size + loc.metadata_size,
                                 std::memory_order_relaxed);
   } else if (options_.pin_remote_objects && dist_hooks_ != nullptr) {
-    // Pin before handing the location out: a failed pin means the
-    // location is stale (lost DeleteNotice, restarted peer) and must not
-    // reach the client — it would read dangling pool offsets.
-    // mdos-check: allow-blocking(DistHooks pin RPC, deadline-bounded; correctness requires the pin to land before the location reaches the client)
-    Status pinned = dist_hooks_->PinRemote(id, loc, deadline);
-    if (!pinned.ok()) return false;
+    // The pin landed; this ref owes the home store one unpin.
     auto& ref = conn.remote_refs[id];
     ref.loc = loc;
     ++ref.pinned;
@@ -1244,139 +1440,62 @@ bool Store::AdoptRemoteObject(Shard& home, ClientConn& conn,
   entry.gen_epoch = loc.gen_epoch;
   pending.ready.emplace(id, entry);
   if (count_hit) {
-    // Hits are only counted where the look-up itself was counted, so
-    // stats never report more hits than look-ups.
     remote_lookup_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
 }
 
-bool Store::AdoptRemoteObjectWithRetry(Shard& home, ClientConn& conn,
-                                       PendingGet& pending,
-                                       const ObjectId& id,
-                                       const RemoteObjectLocation& loc,
-                                       bool count_hit, Deadline deadline) {
-  if (AdoptRemoteObject(home, conn, pending, id, loc, count_hit,
-                        deadline)) {
-    return true;
-  }
-  // Stale location: the dist layer invalidated its cache entry when the
-  // pin failed, so this lookup bypasses the cache and asks the peers
-  // again. One retry only — a second stale answer means the object is
-  // really gone.
-  auto retried =
-      BatchedRemoteLookup({id}, /*count_lookups=*/false, deadline);
-  auto it = retried.find(id);
-  if (it == retried.end()) return false;
-  return AdoptRemoteObject(home, conn, pending, id, it->second,
-                           /*count_hit=*/false, deadline);
+void Store::SettleGet(Shard& home, const Resolution& res) {
+  if (--res->outstanding == 0) FinishGet(home, res);
 }
 
-std::unordered_map<ObjectId, RemoteObjectLocation>
-Store::BatchedRemoteLookup(const std::vector<ObjectId>& ids,
-                           bool count_lookups, Deadline deadline) {
-  std::unordered_map<ObjectId, RemoteObjectLocation> resolved;
-  if (dist_hooks_ == nullptr || ids.empty()) return resolved;
-  std::vector<ObjectId> unknown;
-  std::unordered_set<ObjectId> seen;
-  for (const ObjectId& id : ids) {
-    if (seen.insert(id).second) unknown.push_back(id);
+void Store::FinishGet(Shard& home, const Resolution& res) {
+  auto conn = LiveConn(home, res->pending.conn);
+  if (conn == nullptr) return;
+  PendingGet& pending = res->pending;
+  if (res->final_pass) {
+    // An expired get's last look is over: report whatever was found.
+    ReplyPendingGet(home, pending);
+    return;
   }
-  // RPC outside any shard mutex; the paper's local store performs the
-  // look-up synchronously on the client's behalf.
-  // mdos-check: allow-blocking(DistHooks batched lookup RPC, deadline-bounded and hedged; the paper's design point — async resolve is tracked in ROADMAP)
-  auto locations = dist_hooks_->LookupRemote(unknown, deadline);
-  if (count_lookups) {
-    remote_lookups_.fetch_add(unknown.size(), std::memory_order_relaxed);
+  // Pre-announce a potential park BEFORE the final local re-check
+  // (seq_cst). A concurrent sealer on another shard either observes this
+  // counter in FanOutSealed and posts the wakeup, or its table commit
+  // precedes our re-check (both sides bracket the owner shard mutex), in
+  // which case the re-check finds the object — so gating the fan-out on
+  // the counter can never strand a parked get.
+  bool announced = false;
+  if (!pending.missing.empty() && pending.timeout_ms != 0) {
+    home.parked_gets.fetch_add(1);
+    announced = true;
   }
-  for (size_t i = 0; i < unknown.size() && i < locations.size(); ++i) {
-    if (locations[i].has_value()) {
-      resolved.emplace(unknown[i], *locations[i]);
-    }
-  }
-  return resolved;
-}
-
-void Store::ResolveGets(Shard& home, ClientConn& conn,
-                        std::vector<PendingGet>& gets) {
-  if (gets.empty()) return;
-
-  // One remote look-up for every id unknown anywhere in the batch: a
-  // pipelining client that issued N Gets for remote objects pays one RPC
-  // round instead of N. The shared lookup runs under the LOOSEST
-  // deadline in the batch (any get still inside its budget keeps the
-  // RPC alive); each get's own pin below uses its own deadline.
-  std::vector<ObjectId> unknown;
-  Deadline batch_deadline = gets.front().op_deadline;
-  for (const PendingGet& pending : gets) {
-    unknown.insert(unknown.end(), pending.missing.begin(),
-                   pending.missing.end());
-    if (pending.op_deadline.infinite() ||
-        (!batch_deadline.infinite() &&
-         pending.op_deadline.when_ns() > batch_deadline.when_ns())) {
-      batch_deadline = pending.op_deadline;
+  for (const ObjectId& id : pending.missing) {
+    // Re-run the local pass: a later frame of the same batch (or a
+    // concurrent client on any shard) may have sealed the object after
+    // this get's first look — parking it would miss an available object.
+    auto local = TryLocalGet(*conn, id);
+    if (local.has_value()) {
+      pending.ready.emplace(id, *local);
+    } else {
+      pending.waiting.insert(id);
     }
   }
-  auto resolved =
-      BatchedRemoteLookup(unknown, /*count_lookups=*/true, batch_deadline);
-
-  const int fd = conn.fd.get();
-  for (PendingGet& pending : gets) {
-    // A failed reply for an earlier get in this batch drops the client
-    // (and its conn entry); every get in the batch is from that client,
-    // so stop.
-    if (home.clients.find(fd) == home.clients.end()) return;
-    // Pre-announce a potential park BEFORE the final local re-check
-    // (seq_cst). A concurrent sealer on another shard either observes
-    // this counter in FanOutSealed and posts the wakeup, or its table
-    // commit precedes our re-check (both sides bracket the owner shard
-    // mutex), in which case the re-check finds the object — so gating
-    // the fan-out on the counter can never strand a parked get.
-    bool announced = false;
-    if (!pending.missing.empty() && pending.timeout_ms != 0) {
-      home.parked_gets.fetch_add(1);
-      announced = true;
-    }
-    for (const ObjectId& id : pending.missing) {
-      auto it = resolved.find(id);
-      if (it != resolved.end() &&
-          AdoptRemoteObjectWithRetry(home, conn, pending, id, it->second,
-                                     /*count_hit=*/true,
-                                     pending.op_deadline)) {
-        continue;
-      }
-      // Re-run the local pass: a later frame of the same batch (or a
-      // concurrent client on any shard) may have sealed the object after
-      // this get's first look — parking it would miss an available
-      // object.
-      auto local = TryLocalGet(conn, id);
-      if (local.has_value()) {
-        pending.ready.emplace(id, *local);
-      } else {
-        pending.waiting.insert(id);
-      }
-    }
-    pending.missing.clear();
-    if (pending.waiting.empty() || pending.timeout_ms == 0) {
-      if (announced) {
-        home.parked_gets.fetch_sub(1, std::memory_order_relaxed);
-      }
-      ReplyPendingGet(home, pending);
-      continue;
-    }
-    // The pre-announcement above already counted this park. A finite
-    // end-to-end deadline clamps the park: the reply (reporting whatever
-    // was found) leaves no later than the operation's budget, so a
-    // deadline-carrying client never waits out a longer get timeout.
+  pending.missing.clear();
+  if (pending.waiting.empty() || pending.timeout_ms == 0) {
+    if (announced) home.parked_gets.fetch_sub(1, std::memory_order_relaxed);
+    ReplyPendingGet(home, pending);
+    return;
+  }
+  // The pre-announcement above already counted this park. A finite
+  // end-to-end deadline clamps the park: the reply (reporting whatever
+  // was found) leaves no later than the operation's budget, so a
+  // deadline-carrying client never waits out a longer get timeout.
+  pending.deadline_ns = MonotonicNanos() +
+                        static_cast<int64_t>(pending.timeout_ms) * 1000000;
+  if (!pending.op_deadline.infinite()) {
     pending.deadline_ns =
-        MonotonicNanos() +
-        static_cast<int64_t>(pending.timeout_ms) * 1000000;
-    if (!pending.op_deadline.infinite()) {
-      pending.deadline_ns =
-          std::min(pending.deadline_ns, pending.op_deadline.when_ns());
-    }
-    home.pending_gets.push_back(std::move(pending));
+        std::min(pending.deadline_ns, pending.op_deadline.when_ns());
   }
+  home.pending_gets.push_back(std::move(pending));
 }
 
 void Store::ReplyPendingGet(Shard& shard, PendingGet& pending) {
@@ -1450,52 +1569,57 @@ int Store::FlushExpiredPendingGets(Shard& shard) {
     // may have been sealed on a peer while we waited), batched across all
     // expired gets, then reply.
     std::vector<ObjectId> stragglers;
+    std::unordered_set<ObjectId> seen;
     Deadline straggler_deadline = expired.front().op_deadline;
     for (const PendingGet& pending : expired) {
-      stragglers.insert(stragglers.end(), pending.waiting.begin(),
-                        pending.waiting.end());
+      for (const ObjectId& id : pending.waiting) {
+        if (seen.insert(id).second) stragglers.push_back(id);
+      }
       if (pending.op_deadline.infinite() ||
           (!straggler_deadline.infinite() &&
            pending.op_deadline.when_ns() > straggler_deadline.when_ns())) {
         straggler_deadline = pending.op_deadline;
       }
     }
-    auto resolved = BatchedRemoteLookup(stragglers, /*count_lookups=*/false,
-                                        straggler_deadline);
-    for (PendingGet& pending : expired) {
-      auto conn_it = shard.clients.find(pending.fd);
-      for (auto id_it = pending.waiting.begin();
-           id_it != pending.waiting.end();) {
-        if (conn_it != shard.clients.end()) {
-          // Final local retry. This mostly matters for the spill tier:
-          // a restore that failed with kOutOfMemory while the pool was
-          // pinned solid (the object existed all along — Contains said
-          // so) may succeed now that pins have dropped during the wait.
-          auto local = TryLocalGet(*conn_it->second, *id_it);
-          if (local.has_value()) {
-            pending.ready.emplace(*id_it, *local);
-            id_it = pending.waiting.erase(id_it);
-            continue;
-          }
-        }
-        auto hit = resolved.find(*id_it);
-        if (hit == resolved.end() || conn_it == shard.clients.end() ||
-            !AdoptRemoteObjectWithRetry(shard, *conn_it->second, pending,
-                                        *id_it, hit->second,
-                                        /*count_hit=*/false,
-                                        pending.op_deadline)) {
-          ++id_it;
-          continue;
-        }
-        id_it = pending.waiting.erase(id_it);
-      }
-      ReplyPendingGet(shard, pending);
+    if (dist_hooks_ == nullptr || stragglers.empty()) {
+      FinishExpiredGets(shard, std::move(expired), {});
+    } else {
+      When(shard, dist_hooks_->LookupRemote(stragglers, straggler_deadline),
+           [this, &shard, expired = std::move(expired),
+            stragglers](DistHooks::Locations& found) mutable {
+             FinishExpiredGets(shard, std::move(expired),
+                               ToResolvedMap(stragglers, found));
+           });
     }
   }
 
   if (next_deadline == INT64_MAX) return -1;
   int64_t ms = (next_deadline - now + 999999) / 1000000;
   return static_cast<int>(std::max<int64_t>(ms, 1));
+}
+
+void Store::FinishExpiredGets(Shard& shard, std::vector<PendingGet> expired,
+                              const ResolvedMap& resolved) {
+  std::vector<PendingGet> last_look;
+  for (PendingGet& pending : expired) {
+    auto conn = LiveConn(shard, pending.conn);
+    if (conn == nullptr) continue;
+    for (const ObjectId& id : pending.waiting) {
+      // Final local retry. This mostly matters for the spill tier: a
+      // restore that failed with kOutOfMemory while the pool was pinned
+      // solid (the object existed all along — Contains said so) may
+      // succeed now that pins have dropped during the wait.
+      auto local = TryLocalGet(*conn, id);
+      if (local.has_value()) {
+        pending.ready.emplace(id, *local);
+      } else {
+        pending.missing.push_back(id);
+      }
+    }
+    pending.waiting.clear();
+    last_look.push_back(std::move(pending));
+  }
+  ContinueGets(shard, std::move(last_look), resolved, /*final_pass=*/true);
 }
 
 void Store::HandleRelease(Shard& home, ClientConn& conn,
@@ -1545,8 +1669,17 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
   }
   if (remote_unpin.has_value() && dist_hooks_ != nullptr &&
       options_.pin_remote_objects) {
-    // mdos-check: allow-blocking(DistHooks peer RPC, deadline-bounded; making the unpin path async is tracked in ROADMAP)
-    dist_hooks_->UnpinRemote(request->id, *remote_unpin);
+    // The ack waits for the unpin: a client holding it knows the home
+    // store no longer counts this reference.
+    When(home, dist_hooks_->UnpinRemote(request->id, *remote_unpin),
+         [this, &home, weak = conn.weak_from_this(), request_id,
+          reply](Status&) {
+           if (auto live = LiveConn(home, weak)) {
+             QueueReply(home, *live, MessageType::kReleaseReply, request_id,
+                        reply);
+           }
+         });
+    return;
   }
   QueueReply(home, conn, MessageType::kReleaseReply, request_id, reply);
 }
@@ -1625,18 +1758,29 @@ void Store::HandleDelete(Shard& home, ClientConn& conn,
     }
   }
   if (deleted) {
-    if (dist_hooks_ != nullptr) {
-      if (!replica_holders.empty()) {
-        // mdos-check: allow-blocking(DistHooks replica-drop RPC fan-out, deadline-bounded; best-effort cleanup)
-        dist_hooks_->DropReplicas(request->id, replica_holders);
-      }
-      // mdos-check: allow-blocking(DistHooks delete notice, deadline-bounded; peers self-heal via stale-pin detection if it is lost)
-      dist_hooks_->NotifyDeleted(request->id);
-    }
     Notification notice;
     notice.id = request->id;
     notice.deleted = true;
     FanOutNotification(&home, notice);
+    if (dist_hooks_ != nullptr) {
+      // Replica drops and delete notices go out together, and the ack
+      // waits for both: a client holding it knows no replica is left.
+      // (Peers whose notice is lost self-heal via stale-pin detection.)
+      Future<Status> drops =
+          replica_holders.empty()
+              ? MakeReadyFuture(Status::OK())
+              : dist_hooks_->DropReplicas(request->id, replica_holders);
+      When(home, AfterBoth(std::move(drops),
+                           dist_hooks_->NotifyDeleted(request->id)),
+           [this, &home, weak = conn.weak_from_this(), request_id,
+            reply](Status&) {
+             if (auto live = LiveConn(home, weak)) {
+               QueueReply(home, *live, MessageType::kDeleteReply,
+                          request_id, reply);
+             }
+           });
+      return;
+    }
   }
   QueueReply(home, conn, MessageType::kDeleteReply, request_id, reply);
 }
@@ -1829,8 +1973,9 @@ void MergeCopyNode(std::vector<uint32_t>& nodes, uint32_t node) {
 
 }  // namespace
 
-void Store::ReplicateSealed(Shard& owner, const ObjectId& id) {
-  if (dist_hooks_ == nullptr) return;
+std::optional<Store::ReplicaPush> Store::StartReplication(
+    Shard& owner, const ObjectId& id) {
+  if (dist_hooks_ == nullptr) return std::nullopt;
   std::vector<uint8_t> bytes;
   uint64_t data_size = 0;
   uint64_t metadata_size = 0;
@@ -1840,18 +1985,20 @@ void Store::ReplicateSealed(Shard& owner, const ObjectId& id) {
   {
     MutexLock lock(owner.mutex);
     auto entry = owner.table.Lookup(id);
-    if (!entry.ok()) return;
-    if (entry->desired_copies <= 1) return;
-    if (entry->copy_nodes.size() >= entry->desired_copies) return;
+    if (!entry.ok()) return std::nullopt;
+    if (entry->desired_copies <= 1) return std::nullopt;
+    if (entry->copy_nodes.size() >= entry->desired_copies) {
+      return std::nullopt;
+    }
     if (entry->state == ObjectState::kSpilled) {
       auto restored = RestoreSpilled(owner, id);
-      if (!restored.ok()) return;
+      if (!restored.ok()) return std::nullopt;
       entry = restored;
     }
-    if (entry->state != ObjectState::kSealed) return;
+    if (entry->state != ObjectState::kSealed) return std::nullopt;
     // Snapshot the bytes under the mutex: the pool offset can be rebound
     // (evict, spill, delete + re-create) the moment the lock drops, and
-    // the replicate RPCs below must not run under it.
+    // the dist layer is not called under it.
     bytes.assign(pool_base_ + entry->offset,
                  pool_base_ + entry->offset + entry->total_size());
     data_size = entry->data_size;
@@ -1861,14 +2008,20 @@ void Store::ReplicateSealed(Shard& owner, const ObjectId& id) {
     holders = entry->copy_nodes;
   }
   uint32_t wanted = desired - static_cast<uint32_t>(holders.size());
-  // mdos-check: allow-blocking(DistHooks replication fan-out RPC, deadline-bounded; runs on seal, outside any shard mutex)
-  std::vector<uint32_t> accepted = dist_hooks_->ReplicateObject(
-      id, bytes.data(), data_size, metadata_size, wanted, holders, origin,
-      desired);
+  ReplicaPush push;
+  push.origin = origin;
+  push.accepted = dist_hooks_->ReplicateObject(id, bytes.data(), data_size,
+                                               metadata_size, wanted,
+                                               holders, origin, desired);
+  return push;
+}
+
+void Store::MergeReplicas(Shard& owner, const ObjectId& id, uint32_t origin,
+                          const std::vector<uint32_t>& accepted) {
   if (accepted.empty()) return;
   MutexLock lock(owner.mutex);
   auto entry = owner.table.Lookup(id);
-  // Deleted or re-created (different origin) while the RPCs were in
+  // Deleted or re-created (different origin) while the pushes were in
   // flight: leave the new record alone. The stray remote copies are
   // reclaimed by the origin-delete fan-out or a later re-heal round.
   if (!entry.ok() || entry->origin_node != origin) return;
@@ -2115,7 +2268,9 @@ uint64_t Store::RehealSweep() {
         before = entry->copy_nodes.size();
         size = entry->total_size();
       }
-      ReplicateSealed(owner, id);
+      if (auto push = StartReplication(owner, id)) {
+        MergeReplicas(owner, id, push->origin, push->accepted.Take());
+      }
       {
         MutexLock lock(owner.mutex);
         auto entry = owner.table.Lookup(id);
@@ -2185,7 +2340,9 @@ void Store::RehealForDeadNode(uint32_t dead) {
       }
       // Restores from the spill tier if needed, pushes to registry-
       // chosen peers outside any lock, merges acceptors into the record.
-      ReplicateSealed(owner, id);
+      if (auto push = StartReplication(owner, id)) {
+        MergeReplicas(owner, id, push->origin, push->accepted.Take());
+      }
       {
         MutexLock lock(owner.mutex);
         auto entry = owner.table.Lookup(id);

@@ -6,10 +6,13 @@
 // memory pool by the paper's first-fit ordered-map allocator, so remote
 // nodes can consume them by direct fabric loads instead of copying data
 // over the LAN. Stores are interconnected through the dist layer
-// (gRPC-equivalent unary sync RPC): on a client Get for an unknown id,
-// the store looks the id up in its peers and, on a hit, hands the client
-// a buffer that points into the remote node's disaggregated memory; on
-// Create it probes peers to guarantee system-wide identifier uniqueness.
+// (gRPC-equivalent unary RPC over pipelined channels): on a client Get
+// for an unknown id, the store looks the id up in its peers and, on a
+// hit, hands the client a buffer that points into the remote node's
+// disaggregated memory; on Create it probes peers to guarantee
+// system-wide identifier uniqueness. Peer work never blocks a shard: the
+// operation waiting on it is parked and resumed on its shard when the
+// dist layer's future completes (see DistHooks).
 //
 // Threading (sharded design — supersedes the paper's single store
 // thread + single mutex):
@@ -71,6 +74,7 @@
 #include "alloc/allocator.h"
 #include "alloc/sharded_allocator.h"
 #include "common/deadline.h"
+#include "common/future.h"
 #include "common/mutex.h"
 #include "common/object_id.h"
 #include "common/status.h"
@@ -167,13 +171,19 @@ struct RemoteObjectLocation {
 };
 
 // Interface to the distributed layer; implemented by
-// dist::RemoteStoreRegistry. All calls may block on RPC (the paper's
-// synchronous gRPC mode). With the sharded core, calls may arrive
+// dist::RemoteStoreRegistry. No call blocks: each returns at once with a
+// future that the implementation completes when the peer work is done —
+// on its own I/O thread, or before returning when no peer had to be
+// asked (zero peers, a cache hit). Continuations therefore must not
+// block; the store resumes the client's operation on its shard through
+// the shard mailbox. With the sharded core, calls may arrive
 // concurrently from several shard threads — implementations must be
 // thread-safe (RemoteStoreRegistry is: peer list, cache, and stats are
 // mutex-guarded and channels internally synchronized).
 class DistHooks {
  public:
+  using Locations = std::vector<std::optional<RemoteObjectLocation>>;
+
   virtual ~DistHooks() = default;
 
   // Looks up each id in the peer stores; entry i is nullopt when id i is
@@ -181,27 +191,30 @@ class DistHooks {
   // the client operation that triggered the lookup: implementations
   // must not outlive it (clamp every per-peer RPC to the remaining
   // budget, skip the RPC entirely once it has expired).
-  virtual std::vector<std::optional<RemoteObjectLocation>> LookupRemote(
-      const std::vector<ObjectId>& ids, Deadline deadline) = 0;
+  virtual Future<Locations> LookupRemote(const std::vector<ObjectId>& ids,
+                                         Deadline deadline) = 0;
 
   // True when any peer store already knows `id` (uniqueness probe).
-  [[nodiscard]] virtual bool IdKnownRemotely(const ObjectId& id,
-                                             Deadline deadline) = 0;
+  virtual Future<bool> IdKnownRemotely(const ObjectId& id,
+                                       Deadline deadline) = 0;
 
   // Usage-tracking extension: pin/unpin `id` at its home store. A failed
   // pin means the location is no longer valid (the peer lost or dropped
   // the object, or is unreachable); implementations invalidate any cached
   // location so the caller can re-run the lookup path. Pin carries the
   // operation deadline (it sits on the client's Get path); Unpin is
-  // cleanup and uses the implementation's own RPC bound.
-  virtual Status PinRemote(const ObjectId& id,
-                           const RemoteObjectLocation& loc,
-                           Deadline deadline) = 0;
-  virtual void UnpinRemote(const ObjectId& id,
-                           const RemoteObjectLocation& loc) = 0;
+  // cleanup and uses the implementation's own RPC bound. The unpin's
+  // future completes once the home store has dropped the pin (or the
+  // attempt failed).
+  virtual Future<Status> PinRemote(const ObjectId& id,
+                                   const RemoteObjectLocation& loc,
+                                   Deadline deadline) = 0;
+  virtual Future<Status> UnpinRemote(const ObjectId& id,
+                                     const RemoteObjectLocation& loc) = 0;
 
-  // Broadcast that this store dropped `id` (lookup-cache invalidation).
-  virtual void NotifyDeleted(const ObjectId& id) = 0;
+  // Broadcast that this store dropped `id` (lookup-cache invalidation);
+  // completes when every reachable peer was told.
+  virtual Future<Status> NotifyDeleted(const ObjectId& id) = 0;
 
   // Peer failure handling: per-peer health rows for observability
   // (kPeerStatsRequest). Default: no peers.
@@ -225,25 +238,27 @@ class DistHooks {
   virtual RobustnessCounters GetRobustnessCounters() { return {}; }
 
   // k-way replication: push `id`'s bytes (data section then metadata,
-  // data_size + metadata_size bytes at `bytes`) to up to `copies_wanted`
-  // live peers not in `exclude` (nodes already holding a copy). Returns
-  // the node ids that accepted. `origin`/`desired` travel with the copy
-  // so every holder records the same replication state. Blocking (RPC
-  // per target) — never call under a shard mutex. Default: no peers.
-  virtual std::vector<uint32_t> ReplicateObject(
+  // data_size + metadata_size bytes at `bytes`, copied before the call
+  // returns) to up to `copies_wanted` live peers not in `exclude` (nodes
+  // already holding a copy). Completes with the node ids that accepted.
+  // `origin`/`desired` travel with the copy so every holder records the
+  // same replication state. Default: no peers.
+  virtual Future<std::vector<uint32_t>> ReplicateObject(
       const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
       uint64_t metadata_size, uint32_t copies_wanted,
       const std::vector<uint32_t>& exclude, uint32_t origin,
       uint32_t desired) {
     (void)id; (void)bytes; (void)data_size; (void)metadata_size;
     (void)copies_wanted; (void)exclude; (void)origin; (void)desired;
-    return {};
+    return MakeReadyFuture(std::vector<uint32_t>{});
   }
 
-  // The origin deleted `id`: tell every holder to drop its replica.
-  virtual void DropReplicas(const ObjectId& id,
-                            const std::vector<uint32_t>& holders) {
+  // The origin deleted `id`: tell every holder to drop its replica;
+  // completes when every live holder answered.
+  virtual Future<Status> DropReplicas(const ObjectId& id,
+                                      const std::vector<uint32_t>& holders) {
     (void)id; (void)holders;
+    return MakeReadyFuture(Status::OK());
   }
 };
 
@@ -378,7 +393,7 @@ class Store {
   // All fields are touched only by the home shard's thread; the struct
   // is held by shared_ptr so a batch in flight survives a mid-batch
   // drop.
-  struct ClientConn {
+  struct ClientConn : std::enable_shared_from_this<ClientConn> {
     net::UniqueFd fd;
     std::string name;
     bool handshaken = false;
@@ -413,10 +428,15 @@ class Store {
     std::unordered_map<ObjectId, RemoteRef> remote_refs;
   };
 
-  // A Get waiting for objects to be sealed (or for its deadline).
-  // Parked in the issuing connection's home shard.
+  // A Get waiting for peer work (its remote lookup, its pins) or for
+  // objects to be sealed (or for its deadline). Seal waiters park in the
+  // issuing connection's home shard; peer waiters ride the continuations
+  // of that work (GetResolution).
   struct PendingGet {
     int fd = -1;
+    // The issuing connection, for steps that run after peer work (its fd
+    // may belong to a newer client by then).
+    std::weak_ptr<ClientConn> conn;
     uint64_t request_id = kNoRequestId;  // echoed into the reply
     std::vector<ObjectId> order;  // reply preserves request order
     std::unordered_map<ObjectId, GetReplyEntry> ready;
@@ -531,7 +551,7 @@ class Store {
   // ---- shard event loops -----------------------------------------------
   // MDOS_EVENT_LOOP_CONTEXT functions run on a shard's event-loop
   // thread; mdos-check forbids blocking calls downstream of them (the
-  // DistHooks peer-RPC seams carry explicit allow-blocking waivers).
+  // connect handshake's ordered flush is the one waived seam).
   MDOS_EVENT_LOOP_CONTEXT void ShardLoop(Shard& shard);
   MDOS_EVENT_LOOP_CONTEXT void DrainMailbox(Shard& shard);
   // Drains the connection's socket into its receive scratch (sized once
@@ -578,9 +598,15 @@ class Store {
   void HandleConnect(Shard& home, ClientConn& conn, uint64_t request_id,
                      std::span<const uint8_t> body);
   // Carries the client's end-to-end deadline: the uniqueness probe is a
-  // peer RPC and must not outlive the budget.
+  // peer RPC and must not outlive the budget. The reply waits for the
+  // probe (FinishCreate).
   void HandleCreate(Shard& home, ClientConn& conn, uint64_t request_id,
                     std::span<const uint8_t> body, Deadline op_deadline);
+  // Seal, Delete and Release acks wait for the peer work they imply: a
+  // seal of a replicated object acks once its replicas are installed, an
+  // origin's delete once its replicas are dropped and the delete notices
+  // delivered, a release of a pinned remote ref once the home store
+  // dropped the pin. The shard serves other clients meanwhile.
   void HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
                   std::span<const uint8_t> body);
   void HandleAbort(Shard& home, ClientConn& conn, uint64_t request_id,
@@ -615,45 +641,82 @@ class Store {
   // thread only).
   void DeliverNotification(Shard& shard, const Notification& notice);
 
-  // Replication fan-out after a local Seal: when the entry wants more
-  // than one copy and dist hooks are wired, snapshots the bytes under
-  // the owner mutex, pushes them to registry-chosen peers OUTSIDE any
-  // lock, and merges the accepting peers into the entry's copy set.
-  // Called from the seal path (after the client reply is queued) and
-  // from the re-heal driver.
-  void ReplicateSealed(Shard& owner, const ObjectId& id);
+  // ---- resuming after peer work ----------------------------------------
+  // Runs `fn(value)` on `shard`'s thread once `future` completes: inline
+  // when it already has (the caller is on that shard's thread), through
+  // the shard mailbox otherwise — unless the store stopped first.
+  template <typename T, typename Fn>
+  void When(Shard& shard, Future<T> future, Fn fn);
+  // The connection behind `weak` if it is still served by `home` (a
+  // continuation must not answer a dropped client, nor a newer client
+  // that reuses its fd).
+  std::shared_ptr<ClientConn> LiveConn(Shard& home,
+                                       const std::weak_ptr<ClientConn>& weak);
+
+  // Create after the uniqueness probe: re-check, allocate, reply.
+  void FinishCreate(Shard& home, ClientConn& conn, uint64_t request_id,
+                    const CreateRequest& request, bool exists_remotely);
+
+  // Replication after a local Seal (and in the re-heal driver): when the
+  // entry wants more copies than it has and dist hooks are wired,
+  // snapshots the bytes under the owner mutex and hands them to the dist
+  // layer, which pushes them to registry-chosen peers. nullopt when
+  // there is nothing to push. MergeReplicas then folds the acceptors
+  // into the entry's copy set.
+  struct ReplicaPush {
+    uint32_t origin = 0;
+    Future<std::vector<uint32_t>> accepted;
+  };
+  std::optional<ReplicaPush> StartReplication(Shard& owner,
+                                              const ObjectId& id);
+  void MergeReplicas(Shard& owner, const ObjectId& id, uint32_t origin,
+                     const std::vector<uint32_t>& accepted);
 
   // Completes a batch of local-pass Gets: one DistHooks::LookupRemote for
-  // the union of unknown ids, then replies or parks each get on its
-  // deadline (in the home shard's pending list).
+  // the union of unknown ids, then each get adopts what was found
+  // (ContinueGets) and replies or parks on its deadline.
   void ResolveGets(Shard& home, ClientConn& conn,
                    std::vector<PendingGet>& gets);
-  // One deduplicated LookupRemote for `ids`, bounded by `deadline`;
-  // empty map without hooks.
-  std::unordered_map<ObjectId, RemoteObjectLocation> BatchedRemoteLookup(
-      const std::vector<ObjectId>& ids, bool count_lookups,
-      Deadline deadline);
-  // Applies one resolved remote location to a pending get (reply entry,
+  // One Get waiting on peer work. Home shard thread only: every step
+  // runs there. `outstanding` counts the pins and retry lookups in
+  // flight; the get finishes when it drops to zero. `final_pass` marks
+  // an expired get's last look: it replies instead of parking.
+  struct GetResolution {
+    PendingGet pending;
+    uint32_t outstanding = 0;
+    bool final_pass = false;
+  };
+  using Resolution = std::shared_ptr<GetResolution>;
+  using ResolvedMap = std::unordered_map<ObjectId, RemoteObjectLocation>;
+  // Resolves each get's missing ids against `resolved` (a remote lookup
+  // for the whole batch), then finishes it once its pins landed.
+  void ContinueGets(Shard& home, std::vector<PendingGet> gets,
+                    const ResolvedMap& resolved, bool final_pass);
+  // Expired gets' last look: local retry, then the stragglers' lookup.
+  void FinishExpiredGets(Shard& shard, std::vector<PendingGet> expired,
+                         const ResolvedMap& resolved);
+  // Applies one resolved remote location to a waiting get (reply entry,
   // remote pin or mapped descriptor, per-connection ref bookkeeping).
   // `home` is the Get-serving shard (mapped-read counters accumulate
   // there). `count_hit` must match whether the look-up that produced
   // `loc` was counted in stats. With the mapped data plane on and a
   // generation-stamped location (and the get not forced pinned), the
   // object is handed out as an unpinned descriptor — no PinRemote RPC.
-  // Returns false when the remote pin failed — the location was stale
-  // (the dist layer has already invalidated its cache entry) and the
-  // caller should re-run the lookup path for this id.
-  [[nodiscard]] bool AdoptRemoteObject(Shard& home, ClientConn& conn,
-                         PendingGet& pending, const ObjectId& id,
-                         const RemoteObjectLocation& loc, bool count_hit,
-                         Deadline deadline);
-  // AdoptRemoteObject with one retry through a fresh remote lookup when
-  // the cached location turned out stale. Returns false when the id
-  // could not be adopted at all (treat as missing).
-  [[nodiscard]] bool AdoptRemoteObjectWithRetry(Shard& home, ClientConn& conn,
-                                  PendingGet& pending, const ObjectId& id,
-                                  const RemoteObjectLocation& loc,
-                                  bool count_hit, Deadline deadline);
+  // Otherwise the location reaches the client only once its pin landed;
+  // a failed pin means the location was stale (the dist layer already
+  // invalidated its cache entry), and `may_retry` allows one fresh
+  // lookup before the id counts as missing.
+  void AdoptRemote(Shard& home, const Resolution& res, const ObjectId& id,
+                   const RemoteObjectLocation& loc, bool count_hit,
+                   bool may_retry);
+  // Records an adopted remote object in the connection and the reply.
+  void AdoptLocation(Shard& home, ClientConn& conn, PendingGet& pending,
+                     const ObjectId& id, const RemoteObjectLocation& loc,
+                     bool mapped, bool count_hit);
+  // One piece of a get's peer work is done; finishes it after the last.
+  void SettleGet(Shard& home, const Resolution& res);
+  // Final local re-check of what is still missing, then reply or park.
+  void FinishGet(Shard& home, const Resolution& res);
 
   // Allocates space from the owner shard's arena, evicting its LRU
   // unpinned objects if needed — to the shard's spill file when the
@@ -698,6 +761,14 @@ class Store {
 
   StoreOptions options_;
   std::string socket_path_;
+  // Shared with every continuation still waiting on the dist layer; Stop
+  // closes it, so a peer reply landing after the store stopped is
+  // dropped instead of posting to a shard that is going away.
+  struct Gate {
+    Mutex mutex;
+    bool open GUARDED_BY(mutex) = true;
+  };
+  std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
   uint32_t node_id_ = 0;
   uint32_t pool_region_ = UINT32_MAX;
 

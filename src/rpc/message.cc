@@ -2,12 +2,17 @@
 
 namespace mdos::rpc {
 
-void RpcRequest::EncodeTo(wire::Writer& w) const {
+void EncodeRequest(wire::Writer& w, uint64_t call_id, std::string_view method,
+                   uint64_t deadline_ms, const std::vector<uint8_t>& payload) {
   w.PutU64(call_id);
   w.PutString(method);
   w.PutVarint(deadline_ms);
   w.PutBytes(std::string_view(
       reinterpret_cast<const char*>(payload.data()), payload.size()));
+}
+
+void RpcRequest::EncodeTo(wire::Writer& w) const {
+  EncodeRequest(w, call_id, method, deadline_ms, payload);
 }
 
 Result<RpcRequest> RpcRequest::DecodeFrom(wire::Reader& r) {

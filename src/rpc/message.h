@@ -9,11 +9,15 @@
 //   response := { call_id: u64, code: u8, error: string, payload: bytes }
 //
 // Both travel as net::Frame payloads with frame types kRequestFrame /
-// kResponseFrame.
+// kResponseFrame. A channel pipelines requests on one connection, and
+// the response's call_id names the request it answers; a response whose
+// call_id matches no pending call (its caller's deadline ran out) is
+// discarded.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,6 +27,11 @@ namespace mdos::rpc {
 
 inline constexpr uint32_t kRequestFrame = 0x52504351;   // "RPCQ"
 inline constexpr uint32_t kResponseFrame = 0x52504352;  // "RPCR"
+
+// Encodes a request envelope straight from its parts (no RpcRequest,
+// no payload copy beyond the one into `w`).
+void EncodeRequest(wire::Writer& w, uint64_t call_id, std::string_view method,
+                   uint64_t deadline_ms, const std::vector<uint8_t>& payload);
 
 struct RpcRequest {
   uint64_t call_id = 0;

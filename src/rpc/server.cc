@@ -1,10 +1,6 @@
 #include "rpc/server.h"
 
-#include <sys/ioctl.h>
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -89,58 +85,38 @@ void RpcServer::ServeLoop() {
 
 void RpcServer::HandleReadable(Conn& conn) {
   int fd = conn.fd.get();
-  // Drain the socket into the connection's receive scratch (sized via
-  // FIONREAD; capacity reused across batches).
-  bool closed = false;
-  for (;;) {
-    int avail = 0;
-    if (::ioctl(fd, FIONREAD, &avail) != 0 || avail <= 0) avail = 4096;
-    const size_t base = conn.inbuf.size();
-    conn.inbuf.resize(base + static_cast<size_t>(avail));
-    ssize_t n = ::recv(fd, conn.inbuf.data() + base,
-                       static_cast<size_t>(avail), MSG_DONTWAIT);
-    if (n > 0) {
-      conn.inbuf.resize(base + static_cast<size_t>(n));
-      if (n < avail) break;
-      continue;
-    }
-    conn.inbuf.resize(base);
-    if (n == 0) {
-      closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    closed = true;
-    break;
-  }
-
-  // Serve every complete request frame in the batch; responses coalesce
-  // into the egress queue and leave in one gather write below. The
-  // arrival timestamp is shared by the whole batch: a request at the
-  // tail whose deadline budget is burned by the heads is shed.
-  const int64_t arrival_ns = MonotonicNanos();
-  size_t offset = 0;
+  // Read in bounded chunks, serving each chunk's complete request frames
+  // before reading on: a peer pipelining many large requests (replica
+  // pushes) then costs one chunk of receive scratch, not the whole burst.
+  // Responses coalesce into the egress queue and leave in one gather
+  // write below. A chunk's requests share its arrival timestamp: one at
+  // the tail whose deadline budget is burned by the heads is shed.
+  net::ReadState state = net::ReadState::kMore;
   Status parse = Status::OK();
-  while (offset < conn.inbuf.size()) {
-    net::FrameView view;
-    size_t consumed = 0;
-    parse = net::DecodeFrameView(conn.inbuf.data() + offset,
-                                 conn.inbuf.size() - offset, &view,
-                                 &consumed);
-    if (!parse.ok() || consumed == 0) break;
-    if (view.type != kRequestFrame) {
-      parse = Status::ProtocolError("unexpected frame type");
-      break;
+  while (state == net::ReadState::kMore && parse.ok()) {
+    state = net::ReadAvailable(fd, &conn.inbuf, net::kReadChunkBytes);
+    const int64_t arrival_ns = MonotonicNanos();
+    size_t offset = 0;
+    while (offset < conn.inbuf.size()) {
+      net::FrameView view;
+      size_t consumed = 0;
+      parse = net::DecodeFrameView(conn.inbuf.data() + offset,
+                                   conn.inbuf.size() - offset, &view,
+                                   &consumed);
+      if (!parse.ok() || consumed == 0) break;
+      if (view.type != kRequestFrame) {
+        parse = Status::ProtocolError("unexpected frame type");
+        break;
+      }
+      offset += consumed;
+      parse = ServeRequest(conn, view.payload, view.size, arrival_ns);
+      if (!parse.ok()) break;
     }
-    offset += consumed;
-    parse = ServeRequest(conn, view.payload, view.size, arrival_ns);
-    if (!parse.ok()) break;
+    conn.inbuf.erase(conn.inbuf.begin(),
+                     conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
   }
-  conn.inbuf.erase(conn.inbuf.begin(),
-                   conn.inbuf.begin() + static_cast<ptrdiff_t>(offset));
 
-  if (!parse.ok() || closed) {
+  if (!parse.ok() || state == net::ReadState::kClosed) {
     // Best effort: pipelined responses already queued still leave.
     // mdos-check: allow-discard(final courtesy flush to a connection already condemned; CloseConnection follows on either outcome)
     if (!conn.tx.empty()) (void)conn.tx.Flush(fd);

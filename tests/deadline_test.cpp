@@ -193,10 +193,10 @@ TEST_F(DeadlineHopTest, BudgetDecrementsAcrossLookupThenPin) {
   // the link is alive and a fresh budget succeeds (checked after).
   const Deadline op = Deadline::AfterMs(500);
   Stopwatch sw;
-  auto located = registry->LookupRemote({id_}, op);
+  auto located = registry->LookupRemote({id_}, op).Take();
   ASSERT_EQ(located.size(), 1u);
   ASSERT_TRUE(located[0].has_value()) << "lookup should fit the budget";
-  Status pinned = registry->PinRemote(id_, *located[0], op);
+  Status pinned = registry->PinRemote(id_, *located[0], op).Take();
   EXPECT_EQ(pinned.code(), StatusCode::kDeadlineExceeded)
       << "pin ran on the already-spent budget: " << pinned;
   // Typed failure within (roughly) the budget — not a hang.
@@ -206,9 +206,9 @@ TEST_F(DeadlineHopTest, BudgetDecrementsAcrossLookupThenPin) {
   // Same hop, fresh budget: the link latency alone was never the
   // problem.
   Status repinned =
-      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000));
+      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000)).Take();
   EXPECT_TRUE(repinned.ok()) << repinned;
-  registry->UnpinRemote(id_, *located[0]);
+  registry->UnpinRemote(id_, *located[0]).Wait();
   EXPECT_EQ(registry->usage().total_pins(), 0u);
 }
 
@@ -226,7 +226,7 @@ TEST_F(DeadlineHopTest, HedgedLookupWinsUnderSlowPrimary) {
   injector.SetFault(99, primary, slow);
 
   Stopwatch sw;
-  auto located = registry->LookupRemote({id_}, Deadline::AfterMs(5000));
+  auto located = registry->LookupRemote({id_}, Deadline::AfterMs(5000)).Take();
   const int64_t elapsed_ms = sw.ElapsedMillis();
   ASSERT_EQ(located.size(), 1u);
   ASSERT_TRUE(located[0].has_value());
@@ -239,9 +239,9 @@ TEST_F(DeadlineHopTest, HedgedLookupWinsUnderSlowPrimary) {
   // The hedged descriptor is a normal location: pin, then release, and
   // nothing double-consumes — the pin count returns to zero.
   Status pinned =
-      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000));
+      registry->PinRemote(id_, *located[0], Deadline::AfterMs(10'000)).Take();
   ASSERT_TRUE(pinned.ok()) << pinned;
-  registry->UnpinRemote(id_, *located[0]);
+  registry->UnpinRemote(id_, *located[0]).Wait();
   EXPECT_EQ(registry->usage().total_pins(), 0u);
 }
 
@@ -257,7 +257,7 @@ TEST_F(DeadlineHopTest, NoHedgeWhenPrimaryAnswersInTime) {
   // every wave and no hedge is ever launched (the "cancel" is that it
   // never fires once the primary succeeds inside its delay).
   for (int i = 0; i < 3; ++i) {
-    auto located = registry->LookupRemote({id_}, Deadline::AfterMs(5000));
+    auto located = registry->LookupRemote({id_}, Deadline::AfterMs(5000)).Take();
     ASSERT_EQ(located.size(), 1u);
     EXPECT_TRUE(located[0].has_value());
   }
@@ -277,14 +277,14 @@ TEST_F(DeadlineHopTest, FullPartitionFailsFastNotForever) {
   // Every copy unreachable: the lookup burns its budget on bounded
   // retries and reports unresolved — typed, terminating, no hang.
   Stopwatch sw;
-  auto located = registry->LookupRemote({id_}, Deadline::AfterMs(400));
+  auto located = registry->LookupRemote({id_}, Deadline::AfterMs(400)).Take();
   EXPECT_FALSE(located[0].has_value());
   EXPECT_LT(sw.ElapsedMillis(), 400 + 3000);
   EXPECT_GE(registry->stats().deadline_exhausted, 1u);
 
   // Heal: the same registry serves again (channels redial lazily).
   injector.ClearAll();
-  auto healed = registry->LookupRemote({id_}, Deadline::AfterMs(10'000));
+  auto healed = registry->LookupRemote({id_}, Deadline::AfterMs(10'000)).Take();
   EXPECT_TRUE(healed[0].has_value());
 }
 

@@ -103,7 +103,7 @@ TEST_F(DistTest, LookupFindsSealedRemoteObject) {
   ObjectId id = ObjectId::FromName("remote-obj");
   ASSERT_TRUE((*producer)->CreateAndSeal(id, "remote-data").ok());
 
-  auto locations = registries_[0]->LookupRemote({id});
+  auto locations = registries_[0]->LookupRemote({id}).Take();
   ASSERT_EQ(locations.size(), 1u);
   ASSERT_TRUE(locations[0].has_value());
   EXPECT_EQ(locations[0]->home_node, stores_[1]->node_id());
@@ -117,7 +117,7 @@ TEST_F(DistTest, LookupMissesUnsealedObject) {
   ObjectId id = ObjectId::FromName("unsealed-obj");
   ASSERT_TRUE((*producer)->Create(id, 100).ok());
 
-  auto locations = registries_[0]->LookupRemote({id});
+  auto locations = registries_[0]->LookupRemote({id}).Take();
   ASSERT_EQ(locations.size(), 1u);
   EXPECT_FALSE(locations[0].has_value());
 }
@@ -132,7 +132,7 @@ TEST_F(DistTest, LookupBatchesMixedResults) {
   ASSERT_TRUE((*producer)->CreateAndSeal(found1, "1").ok());
   ASSERT_TRUE((*producer)->CreateAndSeal(found2, "22").ok());
 
-  auto locations = registries_[0]->LookupRemote({found1, missing, found2});
+  auto locations = registries_[0]->LookupRemote({found1, missing, found2}).Take();
   ASSERT_EQ(locations.size(), 3u);
   EXPECT_TRUE(locations[0].has_value());
   EXPECT_FALSE(locations[1].has_value());
@@ -147,8 +147,8 @@ TEST_F(DistTest, IdKnownRemotelySeesUnsealedToo) {
   ObjectId id = ObjectId::FromName("probe-me");
   ASSERT_TRUE((*producer)->Create(id, 10).ok());
   // Uniqueness probe must catch in-flight (unsealed) creations.
-  EXPECT_TRUE(registries_[0]->IdKnownRemotely(id));
-  EXPECT_FALSE(registries_[0]->IdKnownRemotely(ObjectId::FromName("no")));
+  EXPECT_TRUE(registries_[0]->IdKnownRemotely(id).Take());
+  EXPECT_FALSE(registries_[0]->IdKnownRemotely(ObjectId::FromName("no")).Take());
 }
 
 TEST_F(DistTest, CreateRejectsIdTakenOnPeer) {
@@ -239,7 +239,7 @@ TEST_F(DistTest, UnreachablePeerDegradesToNotFound) {
   Mesh();
   servers_[1].Stop();  // peer store 1's RPC endpoint dies
   auto locations =
-      registries_[0]->LookupRemote({ObjectId::FromName("whatever")});
+      registries_[0]->LookupRemote({ObjectId::FromName("whatever")}).Take();
   ASSERT_EQ(locations.size(), 1u);
   EXPECT_FALSE(locations[0].has_value());
   EXPECT_GT(registries_[0]->stats().failed_rpcs, 0u);

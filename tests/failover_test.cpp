@@ -206,8 +206,8 @@ TEST_F(FailoverDistTest, FailureStreakMarksPeerDeadAndSkipsIt) {
 
   ObjectId id = ObjectId::FromName("gone");
   // Two failed calls: healthy -> suspect -> dead.
-  (void)registries_[0]->LookupRemote({id});
-  (void)registries_[0]->LookupRemote({id});
+  (void)registries_[0]->LookupRemote({id}).Take();
+  (void)registries_[0]->LookupRemote({id}).Take();
   EXPECT_EQ(registries_[0]->peer_state(stores_[1]->node_id()),
             dist::PeerState::kDead);
 
@@ -215,7 +215,7 @@ TEST_F(FailoverDistTest, FailureStreakMarksPeerDeadAndSkipsIt) {
   // call returns immediately.
   uint64_t rpcs_before = registries_[0]->stats().lookup_rpcs;
   Stopwatch sw;
-  auto locations = registries_[0]->LookupRemote({id});
+  auto locations = registries_[0]->LookupRemote({id}).Take();
   EXPECT_LT(sw.ElapsedMillis(), 50.0);
   EXPECT_FALSE(locations[0].has_value());
   EXPECT_EQ(registries_[0]->stats().lookup_rpcs, rpcs_before);
@@ -243,8 +243,8 @@ TEST_F(FailoverDistTest, DeadPeerReleasesItsPinsOnSurvivor) {
 
   // Node 1 "crashes" (its RPC endpoint dies; it never unpins).
   servers_[1].Stop();
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p1"));
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p2"));
+  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p1")).Take();
+  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("p2")).Take();
   EXPECT_EQ(registries_[0]->peer_state(stores_[1]->node_id()),
             dist::PeerState::kDead);
 
@@ -343,7 +343,7 @@ TEST_F(FailoverDistTest, QueuedDeleteNoticesFlushOnRecovery) {
   // Node 0's endpoint goes down; node 1 marks it suspect on the first
   // failed probe.
   servers_[0].Stop();
-  (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge"));
+  (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge")).Take();
   EXPECT_EQ(registries_[1]->peer_state(stores_[0]->node_id()),
             dist::PeerState::kSuspect);
 
@@ -356,7 +356,7 @@ TEST_F(FailoverDistTest, QueuedDeleteNoticesFlushOnRecovery) {
   // the queue and node 0's cache reconverges.
   ASSERT_TRUE(servers_[0].Start(ports_[0]).ok());
   EXPECT_TRUE(WaitUntil([&] {
-    (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge"));
+    (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge")).Take();
     return registries_[1]->stats().notices_flushed >= 1;
   }));
   EXPECT_TRUE(WaitUntil(
@@ -419,8 +419,8 @@ TEST_F(FailoverDistTest, PeerHealthFlowsIntoStoreAndClientStats) {
 
   // Walk the peer to dead; both stats surfaces must follow.
   servers_[1].Stop();
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("a"));
-  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("b"));
+  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("a")).Take();
+  (void)registries_[0]->IdKnownRemotely(ObjectId::FromName("b")).Take();
   stats = (*client)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->peers_dead, 1u);

@@ -179,9 +179,9 @@ TEST(DistFailureTest, PinAgainstDeadPeerIsHarmless) {
   dist::RemoteStoreRegistry registry(/*self_node=*/7);
   plasma::RemoteObjectLocation loc;
   loc.home_node = 99;  // no such peer
-  Status pinned = registry.PinRemote(ObjectId::FromName("x"), loc);
+  Status pinned = registry.PinRemote(ObjectId::FromName("x"), loc).Take();
   EXPECT_EQ(pinned.code(), StatusCode::kUnavailable);
-  registry.UnpinRemote(ObjectId::FromName("x"), loc);
+  registry.UnpinRemote(ObjectId::FromName("x"), loc).Wait();
   EXPECT_EQ(registry.usage().total_pins(), 0u);
 }
 

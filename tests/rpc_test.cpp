@@ -1,10 +1,13 @@
-// Tests for the unary sync RPC framework (the gRPC stand-in).
+// Tests for the unary RPC framework (the gRPC stand-in): calls, errors,
+// deadlines, and pipelining many calls over one channel.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <thread>
 
 #include "common/clock.h"
+#include "net/socket.h"
 #include "rpc/channel.h"
 #include "rpc/message.h"
 #include "rpc/server.h"
@@ -145,7 +148,9 @@ TEST_F(RpcTest, CallAfterDisconnectFails) {
 
 TEST_F(RpcTest, SimulatedRttAddsLatency) {
   constexpr int64_t kRtt = 2 * 1000 * 1000;  // 2 ms
-  auto channel = RpcChannel::Connect("127.0.0.1", server_.port(), kRtt);
+  ChannelOptions options;
+  options.simulated_rtt_ns = kRtt;
+  auto channel = RpcChannel::Connect("127.0.0.1", server_.port(), options);
   ASSERT_TRUE(channel.ok());
   Stopwatch sw;
   auto reply = (*channel)->Call("echo", {});
@@ -173,8 +178,100 @@ TEST_F(RpcTest, ServiceDelayIsEnforced) {
   server_.set_service_delay_ns(0);
 }
 
+TEST_F(RpcTest, ConcurrentCallsFromManyThreadsShareOneChannel) {
+  auto channel = RpcChannel::Connect("127.0.0.1", server_.port());
+  ASSERT_TRUE(channel.ok());
+  constexpr int kThreads = 4;
+  constexpr int kCallsEach = 64;
+  std::atomic<int> ok_calls{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Every call is issued before the first reply is awaited.
+      std::vector<std::string> sent;
+      std::vector<Future<Result<EchoReply>>> replies;
+      for (int i = 0; i < kCallsEach; ++i) {
+        EchoRequest request{"t" + std::to_string(t) + "-" +
+                            std::to_string(i)};
+        sent.push_back(request.text);
+        replies.push_back((*channel)->CallTypedAsync<EchoReply>(
+            "echo", request, uint64_t{0}));
+      }
+      for (int i = 0; i < kCallsEach; ++i) {
+        auto reply = replies[i].Take();
+        if (reply.ok() && reply->text == sent[i]) ok_calls.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok_calls.load(), kThreads * kCallsEach);
+  EXPECT_EQ((*channel)->stats().calls,
+            static_cast<uint64_t>(kThreads * kCallsEach));
+  EXPECT_EQ((*channel)->stats().reconnects, 0u);
+}
+
+TEST_F(RpcTest, ReplyAfterTheDeadlineIsDiscardedAndTheConnectionKept) {
+  auto channel = RpcChannel::Connect("127.0.0.1", server_.port());
+  ASSERT_TRUE(channel.ok());
+  auto late = (*channel)->CallWithDeadline("slow", {}, Deadline::AfterMs(50));
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  // The slow handler answers ~250 ms later; that reply matches no
+  // pending call and is dropped without touching the connection.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_TRUE((*channel)->connected());
+  auto next = (*channel)->Call("echo", {7});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(*next, std::vector<uint8_t>{7});
+  EXPECT_EQ((*channel)->stats().reconnects, 0u);
+}
+
+TEST_F(RpcTest, StoppingTheLoopCompletesCallsInFlight) {
+  auto loop = std::make_shared<ChannelLoop>();
+  auto channel =
+      RpcChannel::Connect("127.0.0.1", server_.port(), ChannelOptions{}, loop);
+  ASSERT_TRUE(channel.ok());
+  auto slow = (*channel)->CallAsync("slow", {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_FALSE(slow.Ready());
+  loop->Stop();
+  ASSERT_TRUE(slow.Ready());
+  EXPECT_EQ(slow.Take().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ((*channel)->Call("echo", {}).status().code(),
+            StatusCode::kCancelled);
+}
+
+TEST(RpcChannelTest, PeerResetFailsEveryCallInFlight) {
+  uint16_t port = 0;
+  auto listener = net::TcpListen(0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread peer([&] {
+    auto conn = net::Accept(listener->get());
+    if (!conn.ok()) return;
+    // Take the pipelined requests, answer none, and reset.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    linger reset{1, 0};
+    ::setsockopt(conn->get(), SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    conn->Reset();
+  });
+  auto channel = RpcChannel::Connect("127.0.0.1", port);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  std::vector<Future<CallResult>> calls;
+  for (uint8_t i = 0; i < 8; ++i) {
+    calls.push_back((*channel)->CallAsync("echo", {i}));
+  }
+  for (auto& call : calls) {
+    auto result = call.Take();
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().Is(StatusCode::kIoError) ||
+                result.status().Is(StatusCode::kNotConnected))
+        << result.status();
+  }
+  peer.join();
+  EXPECT_FALSE((*channel)->connected());
+}
+
 TEST(RpcLifecycleTest, ConnectToStoppedServerFails) {
-  auto channel = RpcChannel::Connect("127.0.0.1", 1, /*simulated_rtt_ns=*/0);
+  auto channel = RpcChannel::Connect("127.0.0.1", 1);
   EXPECT_FALSE(channel.ok());
 }
 
@@ -188,7 +285,7 @@ TEST(RpcLifecycleTest, RestartOnNewPort) {
   server.Stop();
   EXPECT_FALSE(server.running());
   // Channel to the stopped server cannot complete a call.
-  auto channel = RpcChannel::Connect("127.0.0.1", port, 0);
+  auto channel = RpcChannel::Connect("127.0.0.1", port);
   if (channel.ok()) {
     EXPECT_FALSE((*channel)->Call("echo", {}).ok());
   }

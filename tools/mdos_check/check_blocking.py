@@ -53,6 +53,9 @@ class DenyRule:
     # Files whose *call sites* this rule never fires in (the primitive's
     # own implementation layer).
     exempt_files: tuple = ()
+    # Functions whose own call sites this rule never fires in: the
+    # non-blocking variant of a primitive that shares its name.
+    exempt_functions: tuple = ()
     # Holding a MutexLock across this call is acceptable (CondVar::Wait
     # releases the mutex while blocked).
     lock_ok: bool = False
@@ -74,7 +77,11 @@ DENY_RULES = (
         names=("connect", "Connect", "ConnectUnix"),
         category="connect",
         why="blocking connect (dial + handshake) can take seconds; "
-            "event-loop code must go through an established channel"),
+            "event-loop code must go through an established channel",
+        # net::TcpConnectStart connects an O_NONBLOCK socket: connect(2)
+        # returns EINPROGRESS and the caller's poller reports the
+        # outcome (the channel I/O loop's redial).
+        exempt_functions=("TcpConnectStart",)),
     DenyRule(
         names=("Call", "CallTyped", "CallWithDeadline",
                "CallTypedDeadline"),
@@ -176,7 +183,8 @@ def run(source_set) -> list[Finding]:
             if rule is not None:
                 if call.receiver in rule.allow_receivers:
                     narrowed_class = rule.allow_class
-                elif source_set.relpath(fn.path) in rule.exempt_files:
+                elif (source_set.relpath(fn.path) in rule.exempt_files or
+                      fn.name in rule.exempt_functions):
                     pass
                 else:
                     key = (fn.path, call.line, call.name)
@@ -208,7 +216,8 @@ def run(source_set) -> list[Finding]:
                 continue
             if call.receiver in rule.allow_receivers:
                 continue
-            if source_set.relpath(fn.path) in rule.exempt_files:
+            if (source_set.relpath(fn.path) in rule.exempt_files or
+                    fn.name in rule.exempt_functions):
                 continue
             sf = source_set.sources[fn.path]
             if sf.is_suppressed(call.line, "blocking"):
