@@ -65,9 +65,9 @@ Summary Summarize(std::vector<double> samples) {
 }
 
 std::unique_ptr<BenchCluster> BenchCluster::Create(
-    size_t nodes, uint64_t pool_bytes, bool enable_lookup_cache,
-    bool pin_remote_objects, bool enable_shared_index,
-    bool mapped_remote_reads, bool check_global_uniqueness) {
+    size_t nodes, uint64_t pool_bytes, bool pin_remote_objects,
+    bool enable_shared_index, bool mapped_remote_reads,
+    bool check_global_uniqueness) {
   SetLogLevel(LogLevel::kError);
   double scale = CalibrationScale();
   tf::FabricConfig fabric;
@@ -83,7 +83,6 @@ std::unique_ptr<BenchCluster> BenchCluster::Create(
     options.enable_shared_index = enable_shared_index;
     options.mapped_remote_reads = mapped_remote_reads;
     options.check_global_uniqueness = check_global_uniqueness;
-    options.registry.enable_lookup_cache = enable_lookup_cache;
     options.registry.simulated_rtt_ns = SimulatedRttNs();
     auto node = bench->cluster_->AddNode(options);
     if (!node.ok()) {

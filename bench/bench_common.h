@@ -65,16 +65,15 @@ class BenchCluster {
   // spec (1 GB for Table I bench 6) plus slack. `pin_remote_objects`
   // defaults to false — the paper's prototype did NOT share object usage
   // across stores (§IV-A2); the usage-tracking extension is measured
-  // separately in bench_lookup_cache_ablation. `enable_shared_index` and
+  // separately in bench_remote_pins_ablation. `enable_shared_index` and
   // `mapped_remote_reads` switch on the two §V-B-and-beyond extensions
   // (fabric-read lookups, generation-validated descriptor Gets);
   // `check_global_uniqueness` can be dropped to keep Create off the RPC
   // path in benches that only measure retrieval.
   static std::unique_ptr<BenchCluster> Create(
       size_t nodes = 2, uint64_t pool_bytes = 1500ull * 1000 * 1000,
-      bool enable_lookup_cache = false, bool pin_remote_objects = false,
-      bool enable_shared_index = false, bool mapped_remote_reads = false,
-      bool check_global_uniqueness = true);
+      bool pin_remote_objects = false, bool enable_shared_index = false,
+      bool mapped_remote_reads = false, bool check_global_uniqueness = true);
 
   cluster::Cluster& cluster() { return *cluster_; }
   plasma::PlasmaClient& producer() { return *producer_; }

@@ -103,9 +103,8 @@ int RunMappedPlane() {
       "\n--- mapped data plane: remote Get, zero-RPC vs RPC+pin rung ---\n");
   auto bench = BenchCluster::Create(
       /*nodes=*/2, /*pool_bytes=*/1500ull * 1000 * 1000,
-      /*enable_lookup_cache=*/false, /*pin_remote_objects=*/true,
-      /*enable_shared_index=*/true, /*mapped_remote_reads=*/true,
-      /*check_global_uniqueness=*/false);
+      /*pin_remote_objects=*/true, /*enable_shared_index=*/true,
+      /*mapped_remote_reads=*/true, /*check_global_uniqueness=*/false);
   if (bench == nullptr) return 1;
 
   std::printf("%-6s %-8s | %-10s %-10s %-10s | %-9s %-9s\n", "bench",

@@ -1,14 +1,14 @@
-// Ablation B — remote-lookup caching and distributed usage tracking
-// (the two §V-B future-work extensions; DESIGN.md ablation B).
+// Ablation B — distributed usage tracking (a §V-B future-work extension).
 //
-// The paper proposes "a caching mechanism for previously requested remote
-// objects ... would increase the performance of repeated requests for
-// identifiers". This bench measures repeated remote retrieval latency in
-// three configurations:
-//   baseline      — paper prototype: every Get pays the lookup RPC
-//   +cache        — lookup cache on: repeat Gets skip the RPC
-//   +cache +pins  — additionally pin remote objects at their home store
-//                   (usage tracking), paying pin/unpin RPCs per Get
+// The paper's prototype did not share object usage across stores, so a
+// home store could evict an object a remote client was still reading.
+// Remote pins close that hole at a price: a Plasma.Pin RPC before each
+// remote location reaches the client and a Plasma.Unpin on release.
+// This bench measures repeated remote retrieval latency in two
+// configurations:
+//   baseline (paper) — every Get pays the lookup RPC, nothing is pinned
+//   +remote pins     — additionally pin remote objects at their home
+//                      store (usage tracking), paying pin/unpin RPCs
 #include <cstdio>
 
 #include "bench_common.h"
@@ -18,7 +18,6 @@ namespace {
 
 struct Config {
   const char* name;
-  bool cache;
   bool pins;
 };
 
@@ -37,48 +36,41 @@ double MedianRepeatGetMs(BenchCluster& bench, int objects, int repeats) {
     ReleaseAll(bench.remote_consumer(), ids);
   }
   DeleteAll(bench.producer(), ids);
-  // Drop the first (cold) sample: the cache ablation targets repeats.
+  // Drop the first sample: it also pays the one-time region attachment.
   samples.erase(samples.begin());
   return Summarize(samples).p50;
 }
 
 int Run() {
   PrintHarnessHeader(
-      "Ablation B — remote lookup cache & usage tracking (paper §V-B)");
+      "Ablation B — remote pins (distributed usage tracking, paper §V-B)");
 
   const Config configs[] = {
-      {"baseline (paper)", false, false},
-      {"+lookup cache", true, false},
-      {"+cache +remote pins", true, true},
+      {"baseline (paper)", false},
+      {"+remote pins", true},
   };
 
   std::printf("%-22s %-14s %-14s %-14s\n", "config", "get10_ms",
-              "get100_ms", "cache_hits");
+              "get100_ms", "pin_rpcs");
   const int repeats = std::max(5, Repetitions());
   for (const Config& config : configs) {
     auto bench = BenchCluster::Create(
         /*nodes=*/2, /*pool_bytes=*/256ull << 20,
-        /*enable_lookup_cache=*/config.cache,
         /*pin_remote_objects=*/config.pins);
     if (bench == nullptr) return 1;
 
     double get10 = MedianRepeatGetMs(*bench, 10, repeats);
     double get100 = MedianRepeatGetMs(*bench, 100, repeats);
-    uint64_t hits = 0;
-    if (auto* cache =
-            bench->cluster().node(1)->registry().lookup_cache()) {
-      hits = cache->stats().hits;
-    }
+    uint64_t pin_rpcs = bench->cluster().node(1)->registry().stats().pin_rpcs;
     std::printf("%-22s %-14.3f %-14.3f %-14llu\n", config.name, get10,
-                get100, static_cast<unsigned long long>(hits));
+                get100, static_cast<unsigned long long>(pin_rpcs));
     std::fflush(stdout);
   }
 
   std::printf(
-      "\nshape target: the cache removes the RPC from repeat gets "
-      "(sub-ms), the paper's\nbaseline pays it every time; pins add "
-      "per-object RPC cost back (the price of\ndistributed usage "
-      "safety).\n");
+      "\nshape target: the baseline pays one lookup RPC per batched Get; "
+      "pins add\nper-object RPC cost on top (the price of distributed "
+      "usage safety).\n");
   return 0;
 }
 

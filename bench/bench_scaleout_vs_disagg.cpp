@@ -85,9 +85,8 @@ int Run() {
   // RPC+pin rung (pinned Get) and the zero-RPC mapped Get.
   auto bench = BenchCluster::Create(
       /*nodes=*/2, /*pool_bytes=*/1500ull * 1000 * 1000,
-      /*enable_lookup_cache=*/false, /*pin_remote_objects=*/true,
-      /*enable_shared_index=*/true, /*mapped_remote_reads=*/true,
-      /*check_global_uniqueness=*/false);
+      /*pin_remote_objects=*/true, /*enable_shared_index=*/true,
+      /*mapped_remote_reads=*/true, /*check_global_uniqueness=*/false);
   if (bench == nullptr) return 1;
   const double scale = CalibrationScale();
   tf::LatencyParams lan{/*base_latency_ns=*/50000,

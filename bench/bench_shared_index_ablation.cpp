@@ -6,7 +6,6 @@
 // that the shared data structure "would likely improve performance".
 // This bench measures that prediction: remote Get latency under
 //   rpc (paper)    — every unknown id costs a Plasma.Lookup RPC
-//   +cache         — repeated ids are served from the lookup cache
 //   shared index   — ids are resolved by reading the home store's index
 //                    table in disaggregated memory (no RPC at all)
 // for both cold (first-ever) and warm (repeated) gets.
@@ -20,7 +19,6 @@ namespace {
 
 struct Config {
   const char* name;
-  bool cache;
   bool shared_index;
 };
 
@@ -38,7 +36,6 @@ void Measure(const Config& config, int objects, double* cold_ms,
     options.pool_size = 256ull << 20;
     options.pin_remote_objects = false;
     options.enable_shared_index = config.shared_index;
-    options.registry.enable_lookup_cache = config.cache;
     options.registry.simulated_rtt_ns = SimulatedRttNs();
     if (!cluster.AddNode(options).ok()) std::exit(1);
   }
@@ -72,14 +69,12 @@ void Measure(const Config& config, int objects, double* cold_ms,
 
 int Run() {
   PrintHarnessHeader(
-      "Ablation E — remote look-up: RPC vs cache vs shared index in "
+      "Ablation E — remote look-up: RPC vs shared index in "
       "disaggregated memory");
 
   const Config configs[] = {
-      {"rpc (paper)", false, false},
-      {"rpc + lookup cache", true, false},
-      {"shared index", false, true},
-      {"shared index + cache", true, true},
+      {"rpc (paper)", false},
+      {"shared index", true},
   };
 
   std::printf("%-22s %-12s %-12s %-12s %-12s %-12s\n", "config",

@@ -114,8 +114,7 @@ Status Node::BuildStack() {
     store->RequestReheal(dead_node);
   });
 
-  service_ = std::make_unique<dist::StoreService>(
-      store_.get(), registry_->lookup_cache());
+  service_ = std::make_unique<dist::StoreService>(store_.get());
   rpc_server_ = std::make_unique<rpc::RpcServer>();
   service_->RegisterWith(*rpc_server_);
   return Status::OK();

@@ -5,10 +5,9 @@
 //     disaggregated window is exported as the store's object pool,
 //   * the Plasma store serving local clients over a Unix socket,
 //   * the RPC server (gRPC stand-in) exposing the store to peer stores,
-//   * the peer registry (DistHooks) with optional lookup cache and the
-//     usage tracker for distributed pin bookkeeping, plus the peer
-//     health monitor (heartbeat + failure streaks, see
-//     dist/remote_registry.h).
+//   * the peer registry (DistHooks) with the usage tracker for
+//     distributed pin bookkeeping, plus the peer health monitor
+//     (heartbeat + failure streaks, see dist/remote_registry.h).
 //
 // Failure testing: Kill() tears the store and RPC server down abruptly —
 // no pin release, no notice to peers — simulating a crash; Restart()

@@ -141,24 +141,6 @@ Result<PinReply> PinReply::DecodeFrom(wire::Reader& r) {
   return m;
 }
 
-// ---- delete notice ---------------------------------------------------------
-
-void DeleteNotice::EncodeTo(wire::Writer& w) const {
-  w.PutObjectId(id);
-  w.PutU32(from_node);
-}
-Result<DeleteNotice> DeleteNotice::DecodeFrom(wire::Reader& r) {
-  DeleteNotice m;
-  MDOS_ASSIGN_OR_RETURN(m.id, r.GetObjectId());
-  MDOS_ASSIGN_OR_RETURN(m.from_node, r.GetU32());
-  return m;
-}
-
-void DeleteNoticeAck::EncodeTo(wire::Writer&) const {}
-Result<DeleteNoticeAck> DeleteNoticeAck::DecodeFrom(wire::Reader&) {
-  return DeleteNoticeAck{};
-}
-
 // ---- ping (heartbeat) ------------------------------------------------------
 
 void PingRequest::EncodeTo(wire::Writer& w) const { w.PutU32(from_node); }

@@ -8,7 +8,6 @@
 //   Plasma.Lookup       — batched sealed-object location lookup
 //   Plasma.Probe        — id-uniqueness probe (sees unsealed objects too)
 //   Plasma.Pin/Unpin    — distributed usage tracking (remote pins)
-//   Plasma.DeleteNotice — lookup-cache invalidation broadcast
 //   Plasma.Ping         — liveness heartbeat driving peer health states
 //   Plasma.Replicate    — push one sealed object's bytes to a replica
 //   Plasma.ReplicaDrop  — origin deleted: drop the local replica copy
@@ -31,7 +30,6 @@ inline constexpr const char* kMethodLookup = "Plasma.Lookup";
 inline constexpr const char* kMethodProbe = "Plasma.Probe";
 inline constexpr const char* kMethodPin = "Plasma.Pin";
 inline constexpr const char* kMethodUnpin = "Plasma.Unpin";
-inline constexpr const char* kMethodDeleteNotice = "Plasma.DeleteNotice";
 inline constexpr const char* kMethodPing = "Plasma.Ping";
 inline constexpr const char* kMethodReplicate = "Plasma.Replicate";
 inline constexpr const char* kMethodReplicaDrop = "Plasma.ReplicaDrop";
@@ -113,20 +111,6 @@ struct PinReply {
 // Unpin reuses the same shapes.
 using UnpinRequest = PinRequest;
 using UnpinReply = PinReply;
-
-// ---- delete notice ---------------------------------------------------------
-
-struct DeleteNotice {
-  ObjectId id;
-  uint32_t from_node = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteNotice> DecodeFrom(wire::Reader& r);
-};
-
-struct DeleteNoticeAck {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteNoticeAck> DecodeFrom(wire::Reader& r);
-};
 
 // ---- ping (heartbeat) ------------------------------------------------------
 

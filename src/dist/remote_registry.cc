@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -95,11 +96,7 @@ RemoteStoreRegistry::RemoteStoreRegistry(uint32_t self_node,
                                          RegistryOptions options)
     : self_node_(self_node),
       options_(options),
-      loop_(std::make_shared<rpc::ChannelLoop>()) {
-  if (options_.enable_lookup_cache) {
-    cache_ = std::make_unique<LookupCache>(options_.lookup_cache_capacity);
-  }
-}
+      loop_(std::make_shared<rpc::ChannelLoop>()) {}
 
 RemoteStoreRegistry::~RemoteStoreRegistry() {
   StopHealthMonitor();
@@ -170,8 +167,8 @@ Status RemoteStoreRegistry::AddPeer(const std::string& host,
     }
   }
 
-  // Mapped data plane: attach the peer's generation table so descriptors
-  // can be stamped (index-path lookups) and re-validated (cache hits).
+  // Mapped data plane: attach the peer's generation table so index-path
+  // lookups can stamp their descriptors.
   if (reply.gen_region != UINT32_MAX && options_.fabric != nullptr) {
     auto attached = options_.fabric->Attach(self_node_, reply.gen_region);
     if (attached.ok()) {
@@ -191,23 +188,13 @@ Status RemoteStoreRegistry::AddPeer(const std::string& host,
     }
   }
 
-  bool replaced = false;
-  {
-    MutexLock lock(mutex_);
-    size_t before = peers_.size();
-    peers_.erase(std::remove_if(peers_.begin(), peers_.end(),
-                                [&](const std::shared_ptr<Peer>& p) {
-                                  return p->node_id == reply.node_id;
-                                }),
-                 peers_.end());
-    replaced = peers_.size() != before;
-    peers_.push_back(std::move(peer));
-  }
-  // Re-adding an existing node means it restarted: whatever locations we
-  // cached for it point into a previous incarnation's pool.
-  if (replaced && cache_ != nullptr) {
-    cache_->InvalidateNode(reply.node_id);
-  }
+  MutexLock lock(mutex_);
+  peers_.erase(std::remove_if(peers_.begin(), peers_.end(),
+                              [&](const std::shared_ptr<Peer>& p) {
+                                return p->node_id == reply.node_id;
+                              }),
+               peers_.end());
+  peers_.push_back(std::move(peer));
   return Status::OK();
 }
 
@@ -308,7 +295,6 @@ void RemoteStoreRegistry::RecordPeerResult(
   if (shutting_down_.load()) return;
   bool died = false;
   bool recovered = false;
-  bool flush_inline = false;
   {
     MutexLock lock(mutex_);
     if (ok) {
@@ -342,11 +328,6 @@ void RemoteStoreRegistry::RecordPeerResult(
         if (next == PeerState::kDead) {
           died = true;
           ++stats_.peers_died;
-          // A dead peer's parked notices are pointless: if it ever comes
-          // back it does so with an empty store and an empty cache.
-          peer->dropped_notices += peer->queued_notices.size();
-          stats_.notices_dropped += peer->queued_notices.size();
-          peer->queued_notices.clear();
         }
         peer->state = next;
       }
@@ -356,28 +337,10 @@ void RemoteStoreRegistry::RecordPeerResult(
   if (recovered) {
     MDOS_LOG_INFO << "node " << self_node_ << ": peer " << peer->node_id
                   << " recovered";
-    // Queued notices are sent by the heartbeat thread, so a recovery
-    // observed on the data path never starts up to max_queued_notices
-    // RPCs there. Without a heartbeat the flush starts here (it is a
-    // chain of completions and returns at once).
-    {
-      MutexLock hb_lock(heartbeat_mutex_);
-      flush_inline = !heartbeat_running_;
-    }
-    if (flush_inline) {
-      std::deque<DeleteNotice> to_flush;
-      {
-        MutexLock lock(mutex_);
-        to_flush.swap(peer->queued_notices);
-      }
-      FlushQueuedNotices(peer, std::move(to_flush));
-    }
   }
 }
 
 void RemoteStoreRegistry::HandlePeerDeath(uint32_t node_id) {
-  // Our cached locations into the corpse's pool dangle.
-  if (cache_ != nullptr) cache_->InvalidateNode(node_id);
   // Drop the fabric mappings of the corpse's index and generation
   // tables: a restarted peer re-exports fresh regions through a new
   // Hello handshake, and reading the previous incarnation through a
@@ -404,65 +367,6 @@ void RemoteStoreRegistry::HandlePeerDeath(uint32_t node_id) {
   if (on_peer_dead_) on_peer_dead_(node_id);
 }
 
-void RemoteStoreRegistry::ParkNoticeLocked(Peer& peer,
-                                           const DeleteNotice& notice) {
-  if (peer.state == PeerState::kDead) {
-    // The death path's drop-the-queue rule: a dead peer's notices are
-    // pointless (a resurrected store comes back with an empty cache).
-    ++peer.dropped_notices;
-    ++stats_.notices_dropped;
-    return;
-  }
-  if (peer.queued_notices.size() >= options_.max_queued_notices) {
-    peer.queued_notices.pop_front();  // oldest first: newer supersede
-    ++peer.dropped_notices;
-    ++stats_.notices_dropped;
-  }
-  peer.queued_notices.push_back(notice);
-}
-
-void RemoteStoreRegistry::FlushQueuedNotices(
-    const std::shared_ptr<Peer>& peer, std::deque<DeleteNotice> notices) {
-  if (notices.empty()) return;
-  DeleteNotice head = notices.front();
-  notices.pop_front();
-  auto rest = std::make_shared<std::deque<DeleteNotice>>(std::move(notices));
-  peer->channel
-      ->CallTypedAsync<DeleteNoticeAck>(kMethodDeleteNotice, head,
-                                        options_.rpc_timeout_ms)
-      .Then([this, peer, head, rest](Result<DeleteNoticeAck>& reply) {
-        if (reply.ok()) {
-          RecordPeerResult(peer, true);
-          {
-            MutexLock lock(mutex_);
-            ++stats_.notices_flushed;
-          }
-          FlushQueuedNotices(peer, std::move(*rest));
-          return;
-        }
-        bool connectivity = IsConnectivityError(reply.status());
-        RecordPeerResult(peer, !connectivity);
-        if (!connectivity) {
-          // Application-level rejection: the peer is alive but refused
-          // this notice — drop it alone and keep flushing.
-          {
-            MutexLock lock(mutex_);
-            ++stats_.notices_dropped;
-          }
-          FlushQueuedNotices(peer, std::move(*rest));
-          return;
-        }
-        // The peer relapsed mid-flush. Re-park the remainder for the
-        // next recovery (dropped wholesale if the failure just declared
-        // it dead).
-        MutexLock lock(mutex_);
-        ParkNoticeLocked(*peer, head);
-        for (const DeleteNotice& notice : *rest) {
-          ParkNoticeLocked(*peer, notice);
-        }
-      });
-}
-
 int64_t RemoteStoreRegistry::HedgeDelayNs(
     const std::shared_ptr<Peer>& peer) const {
   int64_t ewma_ns;
@@ -485,8 +389,8 @@ int64_t RemoteStoreRegistry::HedgeDelayNs(
 Future<plasma::DistHooks::Locations> RemoteStoreRegistry::LookupRemote(
     const std::vector<ObjectId>& ids, Deadline deadline) {
   plasma::DistHooks::Locations out(ids.size());
-  std::vector<size_t> unresolved;
-  unresolved.reserve(ids.size());
+  std::vector<size_t> unresolved(ids.size());
+  std::iota(unresolved.begin(), unresolved.end(), size_t{0});
 
   // Dead peers are skipped outright: no RPC, no timeout stall. The
   // heartbeat loop is responsible for noticing a resurrection. Peers are
@@ -497,48 +401,7 @@ Future<plasma::DistHooks::Locations> RemoteStoreRegistry::LookupRemote(
   // dead-replica failover.
   auto peers = SnapshotRankedPeers();
 
-  // 1. Lookup cache (§V-B extension). Generation-stamped entries are
-  // re-validated against the home peer's mapped generation table: a
-  // bumped slot (evict / spill / delete since we cached the descriptor)
-  // or a changed epoch (the peer restarted) invalidates the entry and
-  // sends the id down the index/RPC path for a fresh descriptor.
-  uint64_t gen_invalidations = 0;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (cache_ != nullptr) {
-      auto hit = cache_->Get(ids[i]);
-      if (hit.has_value()) {
-        bool valid = true;
-        if (hit->gen_region != UINT32_MAX) {
-          for (const auto& peer : peers) {
-            if (peer->node_id != hit->home_node) continue;
-            // Qualified Read: the bare name would also match the
-            // fabric-fault stall in tf::AttachedRegion::Read in the
-            // mdos-check call graph.
-            if (peer->gen_reader.has_value() &&
-                (peer->gen_reader->Epoch() != hit->gen_epoch ||
-                 peer->gen_reader->GenerationReader::Read(hit->gen_slot) !=
-                     hit->generation)) {
-              valid = false;
-            }
-            break;
-          }
-        }
-        if (valid) {
-          out[i] = *hit;
-          continue;
-        }
-        cache_->Invalidate(ids[i]);
-        ++gen_invalidations;
-      }
-    }
-    unresolved.push_back(i);
-  }
-  if (gen_invalidations > 0) {
-    MutexLock lock(mutex_);
-    stats_.generation_retries += gen_invalidations;
-  }
-
-  // 2. Shared index in disaggregated memory (§V-B extension): probe every
+  // 1. Shared index in disaggregated memory (§V-B extension): probe every
   // peer's table before falling back to RPC. The probes for distinct ids
   // are independent loads, so the whole sweep is charged to the latency
   // model as one pipelined wave (tf::AccessBatch) rather than a serial
@@ -589,7 +452,6 @@ Future<plasma::DistHooks::Locations> RemoteStoreRegistry::LookupRemote(
         loc.gen_epoch = epoch;
       }
       out[i] = loc;
-      if (cache_ != nullptr) cache_->Put(ids[i], loc);
       ++batch_index_hits;
     }
     if (batch_index_hits > 0) {
@@ -600,7 +462,7 @@ Future<plasma::DistHooks::Locations> RemoteStoreRegistry::LookupRemote(
     unresolved.swap(still_unresolved);
   }
 
-  // 3. Batched Plasma.Lookup RPC per ranked peer until everything
+  // 2. Batched Plasma.Lookup RPC per ranked peer until everything
   // unresolved has been asked everywhere (the paper's unary gRPC path),
   // with hedged reads layered on: each wave fires the batch at the best
   // not-yet-asked peer, and when that primary stays quiet past its
@@ -744,7 +606,6 @@ void RemoteStoreRegistry::SettleLookupWave(
       size_t i = op->unresolved[k];
       if (k < entries.size() && entries[k].found) {
         op->out[i] = entries[k].location;
-        if (cache_ != nullptr) cache_->Put(op->ids[i], *op->out[i]);
       } else {
         still_unresolved.push_back(i);
       }
@@ -817,8 +678,8 @@ Future<Status> RemoteStoreRegistry::PinRemote(
     const ObjectId& id, const plasma::RemoteObjectLocation& loc,
     Deadline deadline) {
   if (deadline.expired()) {
-    // The location may be perfectly valid — do not invalidate, just
-    // refuse to start an RPC there is no budget left for.
+    // The location may be perfectly valid; there is just no budget left
+    // for the RPC.
     {
       MutexLock lock(mutex_);
       ++stats_.deadline_exhausted;
@@ -828,9 +689,7 @@ Future<Status> RemoteStoreRegistry::PinRemote(
   }
   auto peer = FindLivePeer(loc.home_node);
   if (peer == nullptr) {
-    // Unknown or dead home: the location is unusable; make sure it never
-    // serves another Get from the cache.
-    if (cache_ != nullptr) cache_->Invalidate(id);
+    // Unknown or dead home: the location is unusable.
     return MakeReadyFuture(Status::Unavailable(
         "pin: peer node " + std::to_string(loc.home_node) +
         " is unavailable"));
@@ -850,10 +709,9 @@ Future<Status> RemoteStoreRegistry::PinRemote(
         if (reply.ok()) RecordPeerLatency(peer, MonotonicNanos() - rpc_start);
         if (!status.ok()) {
           // Either the peer is unreachable or it no longer has the
-          // object (e.g. a lost DeleteNotice left us a stale cache
-          // entry). Both ways the location must not be served again:
-          // invalidate and let the caller re-run the full lookup path.
-          if (cache_ != nullptr) cache_->Invalidate(id);
+          // object (deleted or evicted since the lookup). Both ways the
+          // location must not be served; the caller may re-run the
+          // lookup path.
           MutexLock lock(mutex_);
           if (status.Is(StatusCode::kDeadlineExceeded)) {
             // The RPC itself burned the remaining budget (the
@@ -903,56 +761,6 @@ Future<Status> RemoteStoreRegistry::UnpinRemote(
       });
 }
 
-Future<Status> RemoteStoreRegistry::NotifyDeleted(const ObjectId& id) {
-  if (cache_ != nullptr) cache_->Invalidate(id);
-  DeleteNotice notice;
-  notice.id = id;
-  notice.from_node = self_node_;
-  std::vector<std::shared_ptr<Peer>> targets;
-  for (const auto& peer : SnapshotPeers()) {
-    // One critical section for the state check AND the drop/queue, so a
-    // concurrent suspect→dead transition can't park a notice on a peer
-    // whose queue was just cleared by the death path.
-    MutexLock lock(mutex_);
-    if (peer->state == PeerState::kDead) {
-      ++peer->dropped_notices;
-      ++stats_.notices_dropped;
-      continue;
-    }
-    if (peer->state == PeerState::kSuspect) {
-      // Park the notice; the queue is flushed when the peer recovers,
-      // so its lookup cache reconverges.
-      ParkNoticeLocked(*peer, notice);
-      continue;
-    }
-    targets.push_back(peer);
-  }
-  if (targets.empty()) return MakeReadyFuture(Status::OK());
-  auto fan = std::make_shared<FanIn>(targets.size());
-  for (const auto& peer : targets) {
-    peer->channel
-        ->CallTypedAsync<DeleteNoticeAck>(kMethodDeleteNotice, notice,
-                                          options_.rpc_timeout_ms)
-        .Then([this, peer, notice, fan](Result<DeleteNoticeAck>& reply) {
-          if (!reply.ok()) {
-            bool connectivity = IsConnectivityError(reply.status());
-            RecordPeerResult(peer, !connectivity);
-            if (connectivity) {
-              // The notice was lost in flight; park it for the recovery
-              // flush (dropped if the failure just declared the peer
-              // dead).
-              MutexLock lock(mutex_);
-              ParkNoticeLocked(*peer, notice);
-            }
-          } else {
-            RecordPeerResult(peer, true);
-          }
-          fan->Arrive();
-        });
-  }
-  return fan->done.GetFuture();
-}
-
 std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
   auto peers = SnapshotPeers();
   std::vector<plasma::PeerStatsEntry> out;
@@ -970,8 +778,6 @@ std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
     entry.failed_rpcs = peer->failed_rpcs;
     entry.reconnects = channel_stats.reconnects;
     entry.heartbeats = peer->heartbeats;
-    entry.queued_notices = peer->queued_notices.size();
-    entry.dropped_notices = peer->dropped_notices;
     entry.ms_since_ok =
         peer->last_ok_ns > 0 ? (now - peer->last_ok_ns) / 1000000 : -1;
     entry.ewma_latency_us =
@@ -979,11 +785,6 @@ std::vector<plasma::PeerStatsEntry> RemoteStoreRegistry::PeerHealth() {
     out.push_back(entry);
   }
   return out;
-}
-
-uint64_t RemoteStoreRegistry::GenerationRetries() {
-  MutexLock lock(mutex_);
-  return stats_.generation_retries;
 }
 
 plasma::DistHooks::RobustnessCounters
@@ -1175,25 +976,9 @@ void RemoteStoreRegistry::HeartbeatLoop() {
     if (!heartbeat_running_) break;
     heartbeat_mutex_.Unlock();
     PingAllPeers();
-    FlushRecoveredPeers();
     heartbeat_mutex_.Lock();
   }
   heartbeat_mutex_.Unlock();
-}
-
-void RemoteStoreRegistry::FlushRecoveredPeers() {
-  for (const auto& peer : SnapshotPeers()) {
-    std::deque<DeleteNotice> to_flush;
-    {
-      MutexLock lock(mutex_);
-      if (peer->state != PeerState::kHealthy ||
-          peer->queued_notices.empty()) {
-        continue;
-      }
-      to_flush.swap(peer->queued_notices);
-    }
-    FlushQueuedNotices(peer, std::move(to_flush));
-  }
 }
 
 void RemoteStoreRegistry::PingAllPeers() {

@@ -1,14 +1,11 @@
 // RemoteStoreRegistry — a store's view of its peer stores (DistHooks).
 //
 // Implements the distributed half of §IV-A2: every store keeps one RPC
-// channel per peer (the paper's gRPC stubs) and resolves unknown object
-// ids by asking the peers, probes peers for id uniqueness on Create, and
-// broadcasts delete notices. Two §V-B extensions are layered in front of
-// the RPC path:
-//   * lookup cache — repeated remote Gets skip the RPC entirely,
-//   * shared index  — when a peer exports its index region (Hello
-//     handshake), lookups read the peer's table in disaggregated memory
-//     and fall back to RPC only on a miss.
+// channel per peer (the paper's gRPC stubs), resolves unknown object ids
+// by asking the peers, and probes peers for id uniqueness on Create.
+// The §V-B shared index is layered in front of the RPC path: when a peer
+// exports its index region (Hello handshake), lookups read the peer's
+// table in disaggregated memory and fall back to RPC only on a miss.
 //
 // Peer failure handling: each peer carries a health state machine
 //
@@ -21,32 +18,28 @@
 // dead peers entirely — a dead peer costs zero RPCs per call, not an
 // rpc_timeout_ms stall — while the heartbeat keeps pinging it so a
 // restarted peer is re-admitted automatically (the channels redial with
-// backoff, see rpc/channel.h). DeleteNotices bound for a suspect peer
-// are queued (bounded) and flushed when it recovers so lookup caches
-// reconverge; notices for a dead peer are dropped — a crashed store
-// lost its cache anyway. Declaring a peer dead also drops our pins on
-// it from the usage tracker, invalidates its cached locations, and
-// fires the on-peer-dead callback (the cluster layer wires it to
+// backoff, see rpc/channel.h). Declaring a peer dead also drops our pins
+// on it from the usage tracker, unmaps its index and generation tables,
+// and fires the on-peer-dead callback (the cluster layer wires it to
 // Store::ReleasePinsForPeer so the corpse stops blocking eviction).
 //
 // Completion model: every DistHooks call returns at once with a future.
 // Peer RPCs go out on pipelined channels that share one I/O thread (the
 // registry's rpc::ChannelLoop, which owns every peer socket); independent
 // calls are in flight together — the uniqueness probe asks every live
-// peer at once, delete notices leave with the replica drops — and their
+// peer at once, a Delete's replica drops leave together — and their
 // outcomes complete the futures on that thread. A call that needs no
-// peer (zero peers, a cache or index hit, a dead home) returns an
+// peer (zero peers, an index hit, a dead home) returns an
 // already-complete future.
 //
 // Thread-safety: the DistHooks calls may come concurrently from several
 // of the store's shard threads (the sharded core resolves remote ids
 // from whichever shard homes the requesting connection); AddPeer/
-// ReleaseAllPins from control threads; DeleteNotice invalidations land
-// on the RPC server thread; the heartbeat runs its own thread; RPC
-// outcomes (health transitions, hedging, the death handler) run on the
-// I/O thread. Peer-list and health access is mutex-guarded, the lookup
-// cache and usage tracker carry their own mutexes, and no future is
-// completed while the registry mutex is held.
+// ReleaseAllPins from control threads; the heartbeat runs its own
+// thread; RPC outcomes (health transitions, hedging, the death handler)
+// run on the I/O thread. Peer-list and health access is mutex-guarded,
+// the usage tracker carries its own mutex, and no future is completed
+// while the registry mutex is held.
 #pragma once
 
 #include <atomic>
@@ -63,7 +56,6 @@
 #include "common/future.h"
 #include "common/mutex.h"
 #include "common/status.h"
-#include "dist/lookup_cache.h"
 #include "dist/messages.h"
 #include "dist/usage_tracker.h"
 #include "net/fault_injector.h"
@@ -83,9 +75,6 @@ enum class PeerState : uint8_t {
 };
 
 struct RegistryOptions {
-  // Cache successful lookups (paper §V-B "caching the look-up results").
-  bool enable_lookup_cache = false;
-  size_t lookup_cache_capacity = 4096;
   // Injected per-RPC latency modelling the data-centre LAN.
   int64_t simulated_rtt_ns = 0;
   // Bound on every peer RPC.
@@ -107,8 +96,6 @@ struct RegistryOptions {
   // suspect → dead.
   uint32_t suspect_after_failures = 1;
   uint32_t dead_after_failures = 3;
-  // Bound on DeleteNotices parked per suspect peer awaiting recovery.
-  size_t max_queued_notices = 1024;
   // Channel redial/backoff policy (see rpc/channel.h).
   uint32_t redial_backoff_min_ms = 10;
   uint32_t redial_backoff_max_ms = 1000;
@@ -144,12 +131,8 @@ struct RegistryStats {
   uint64_t heartbeats = 0;    // Plasma.Ping calls issued
   uint64_t peers_died = 0;    // healthy/suspect → dead transitions
   uint64_t peers_recovered = 0;  // suspect/dead → healthy transitions
-  uint64_t notices_flushed = 0;  // queued DeleteNotices delivered
-  uint64_t notices_dropped = 0;  // queued DeleteNotices discarded
-  uint64_t stale_pins_detected = 0;  // failed pins at cached locations
-  // Mapped data plane: cached descriptors invalidated because their
-  // generation (or epoch) no longer matched the peer's generation table.
-  uint64_t generation_retries = 0;
+  // Pins that failed: the location went stale or its home is gone.
+  uint64_t stale_pins_detected = 0;
   // k-way replication: Plasma.Replicate + Plasma.ReplicaDrop calls issued.
   uint64_t replicate_rpcs = 0;
   // End-to-end deadlines & hedged reads (gray-failure handling).
@@ -192,8 +175,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   // (shutdown path; never call it on an event loop). Idempotent.
   void ReleaseAllPins();
 
-  // nullptr when the cache extension is disabled.
-  LookupCache* lookup_cache() { return cache_.get(); }
   const UsageTracker& usage() const { return usage_; }
   RegistryStats stats() const EXCLUDES(mutex_);
 
@@ -208,9 +189,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
                            Deadline deadline) override;
   Future<Status> UnpinRemote(const ObjectId& id,
                              const plasma::RemoteObjectLocation& loc) override;
-  Future<Status> NotifyDeleted(const ObjectId& id) override;
   std::vector<plasma::PeerStatsEntry> PeerHealth() override;
-  uint64_t GenerationRetries() override;
   plasma::DistHooks::RobustnessCounters GetRobustnessCounters() override;
 
   // Deadline-less conveniences (control paths and tests): unbounded
@@ -251,9 +230,9 @@ class RemoteStoreRegistry : public plasma::DistHooks {
     std::optional<plasma::SharedIndexReader> index_reader;
     // Mapped data plane (set when the peer exports a generation table):
     // index-path lookups stamp descriptors with the peer's current
-    // generation, and cached descriptors are re-validated against it.
-    // Reset together with the index mapping when the peer dies, so a
-    // restarted incarnation is never read through a stale attachment.
+    // generation. Reset together with the index mapping when the peer
+    // dies, so a restarted incarnation is never read through a stale
+    // attachment.
     uint32_t gen_region = UINT32_MAX;
     std::optional<tf::AttachedRegion> gen_attachment;
     std::optional<plasma::GenerationReader> gen_reader;
@@ -266,16 +245,12 @@ class RemoteStoreRegistry : public plasma::DistHooks {
     uint32_t failure_streak = 0;
     uint64_t failed_rpcs = 0;
     uint64_t heartbeats = 0;
-    uint64_t dropped_notices = 0;
     int64_t last_ok_ns = 0;  // monotonic time of the last successful call
     // EWMA of observed RPC round-trip latency (same guard contract as
     // the health fields). 0 = no sample yet. Replica placement and
     // replica-read selection prefer the lowest value among healthy
     // peers.
     int64_t ewma_latency_ns = 0;
-    // DeleteNotices parked while the peer is suspect, flushed on
-    // recovery (bounded by max_queued_notices).
-    std::deque<DeleteNotice> queued_notices;
   };
 
   std::vector<std::shared_ptr<Peer>> SnapshotPeers() const
@@ -289,7 +264,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
       EXCLUDES(mutex_);
 
   // Folds one call outcome into the peer's health machine and performs
-  // the resulting transition work (death cleanup / recovery flush).
+  // the resulting transition work (death cleanup).
   void RecordPeerResult(const std::shared_ptr<Peer>& peer, bool ok)
       EXCLUDES(mutex_);
   // Folds one successful call's round trip into the peer's latency EWMA.
@@ -349,29 +324,16 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   void FinishPush(const std::shared_ptr<ReplicaPush>& push)
       EXCLUDES(mutex_);
 
-  // Parks a DeleteNotice for later flush: dead peers drop it, a full
-  // queue evicts the oldest.
-  void ParkNoticeLocked(Peer& peer, const DeleteNotice& notice)
-      REQUIRES(mutex_);
-  // Transition bookkeeping, run outside the mutex.
+  // Death bookkeeping, run outside the mutex.
   void HandlePeerDeath(uint32_t node_id);
-  // Sends `notices` to `peer` one after another (a chain of completions,
-  // so it never blocks its caller); a connectivity failure re-parks the
-  // rest.
-  void FlushQueuedNotices(const std::shared_ptr<Peer>& peer,
-                          std::deque<DeleteNotice> notices);
 
   void HeartbeatLoop() EXCLUDES(heartbeat_mutex_);
   // One heartbeat round: ping every peer (including dead ones — that is
   // the recovery path).
   void PingAllPeers() EXCLUDES(mutex_);
-  // Sends the queued notices of every healthy peer (heartbeat thread;
-  // also the inline recovery path when no heartbeat runs).
-  void FlushRecoveredPeers() EXCLUDES(mutex_);
 
   const uint32_t self_node_;
   const RegistryOptions options_;
-  std::unique_ptr<LookupCache> cache_;
   UsageTracker usage_;
   std::function<void(uint32_t)> on_peer_dead_;
   // The I/O thread owning every peer socket (shared by the channels).
@@ -388,8 +350,7 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   std::deque<std::shared_ptr<ReplicaPush>> queued_pushes_ GUARDED_BY(mutex_);
 
   // Heartbeat thread state. heartbeat_mutex_ is a leaf lock: never
-  // taken with mutex_ held (RecordPeerResult checks it only after
-  // releasing the registry mutex).
+  // taken with mutex_ held.
   Mutex heartbeat_mutex_ ACQUIRED_AFTER(mutex_);
   std::thread heartbeat_thread_ GUARDED_BY(heartbeat_mutex_);
   CondVar heartbeat_cv_;

@@ -25,7 +25,6 @@ Result<RequestT> DecodeRequest(const std::vector<uint8_t>& payload) {
 
 void StoreService::RegisterWith(rpc::RpcServer& server) {
   plasma::Store* store = store_;
-  LookupCache* cache = cache_;
 
   server.RegisterHandler(
       kMethodHello,
@@ -113,16 +112,6 @@ void StoreService::RegisterWith(rpc::RpcServer& server) {
       });
 
   server.RegisterHandler(
-      kMethodDeleteNotice,
-      [cache](const std::vector<uint8_t>& payload)
-          -> Result<std::vector<uint8_t>> {
-        MDOS_ASSIGN_OR_RETURN(DeleteNotice notice,
-                              DecodeRequest<DeleteNotice>(payload));
-        if (cache != nullptr) cache->Invalidate(notice.id);
-        return EncodeReply(DeleteNoticeAck{});
-      });
-
-  server.RegisterHandler(
       kMethodReplicate,
       [store](const std::vector<uint8_t>& payload)
           -> Result<std::vector<uint8_t>> {
@@ -139,16 +128,13 @@ void StoreService::RegisterWith(rpc::RpcServer& server) {
 
   server.RegisterHandler(
       kMethodReplicaDrop,
-      [store, cache](const std::vector<uint8_t>& payload)
+      [store](const std::vector<uint8_t>& payload)
           -> Result<std::vector<uint8_t>> {
         MDOS_ASSIGN_OR_RETURN(ReplicaDropRequest request,
                               DecodeRequest<ReplicaDropRequest>(payload));
         ReplicaDropReply reply;
         reply.status =
             store->DropReplicaLocal(request.id, request.from_node);
-        // The id no longer resolves here; a stale cached location would
-        // just cost the next Get a failed pin.
-        if (cache != nullptr) cache->Invalidate(request.id);
         return EncodeReply(reply);
       });
 }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include "common/status.h"
-#include "dist/lookup_cache.h"
 #include "plasma/store.h"
 #include "rpc/server.h"
 
@@ -17,17 +16,13 @@ namespace mdos::dist {
 
 class StoreService {
  public:
-  // `cache` may be null (extension disabled); DeleteNotice handling then
-  // degrades to an ack-only no-op.
-  StoreService(plasma::Store* store, LookupCache* cache)
-      : store_(store), cache_(cache) {}
+  explicit StoreService(plasma::Store* store) : store_(store) {}
 
   // Registers every Plasma.* method. Call before RpcServer::Start.
   void RegisterWith(rpc::RpcServer& server);
 
  private:
   plasma::Store* store_;
-  LookupCache* cache_;
 };
 
 }  // namespace mdos::dist

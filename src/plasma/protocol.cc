@@ -282,7 +282,6 @@ void StoreStats::EncodeTo(wire::Writer& w) const {
   w.PutU64(evictions);
   w.PutU64(remote_lookups);
   w.PutU64(remote_lookup_hits);
-  w.PutU64(lookup_cache_hits);
   w.PutU64(spilled_objects);
   w.PutU64(spilled_bytes);
   w.PutU64(spills);
@@ -299,10 +298,8 @@ void StoreStats::EncodeTo(wire::Writer& w) const {
   w.PutU64(peer_failed_rpcs);
   w.PutU64(peer_reconnects);
   w.PutU64(peer_heartbeats);
-  w.PutU64(peer_queued_notices);
   w.PutU64(mapped_reads);
   w.PutU64(mapped_bytes);
-  w.PutU64(generation_retries);
   w.PutU64(mapped_fallbacks);
   w.PutU64(replicas_total);
   w.PutU64(under_replicated);
@@ -325,7 +322,6 @@ Result<StoreStats> StoreStats::DecodeFrom(wire::Reader& r) {
   MDOS_ASSIGN_OR_RETURN(m.evictions, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.remote_lookups, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.remote_lookup_hits, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(m.lookup_cache_hits, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.spilled_objects, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.spilled_bytes, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.spills, r.GetU64());
@@ -342,10 +338,8 @@ Result<StoreStats> StoreStats::DecodeFrom(wire::Reader& r) {
   MDOS_ASSIGN_OR_RETURN(m.peer_failed_rpcs, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.peer_reconnects, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.peer_heartbeats, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(m.peer_queued_notices, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.mapped_reads, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.mapped_bytes, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(m.generation_retries, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.mapped_fallbacks, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.replicas_total, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.under_replicated, r.GetU64());
@@ -445,8 +439,6 @@ void PeerStatsEntry::EncodeTo(wire::Writer& w) const {
   w.PutU64(failed_rpcs);
   w.PutU64(reconnects);
   w.PutU64(heartbeats);
-  w.PutU64(queued_notices);
-  w.PutU64(dropped_notices);
   w.PutU64(static_cast<uint64_t>(ms_since_ok));
   w.PutU64(static_cast<uint64_t>(ewma_latency_us));
 }
@@ -458,8 +450,6 @@ Result<PeerStatsEntry> PeerStatsEntry::DecodeFrom(wire::Reader& r) {
   MDOS_ASSIGN_OR_RETURN(m.failed_rpcs, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.reconnects, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.heartbeats, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(m.queued_notices, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(m.dropped_notices, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(uint64_t since, r.GetU64());
   m.ms_since_ok = static_cast<int64_t>(since);
   MDOS_ASSIGN_OR_RETURN(uint64_t ewma, r.GetU64());

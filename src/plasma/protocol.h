@@ -253,7 +253,6 @@ struct StoreStats {
   uint64_t evictions = 0;
   uint64_t remote_lookups = 0;
   uint64_t remote_lookup_hits = 0;
-  uint64_t lookup_cache_hits = 0;
   // Disk spill tier (zero when StoreOptions::spill_dir is unset).
   uint64_t spilled_objects = 0;  // currently resident on disk
   uint64_t spilled_bytes = 0;
@@ -274,12 +273,10 @@ struct StoreStats {
   uint64_t peer_failed_rpcs = 0;   // cumulative failed peer calls
   uint64_t peer_reconnects = 0;    // channel redials that succeeded
   uint64_t peer_heartbeats = 0;    // Plasma.Ping calls sent
-  uint64_t peer_queued_notices = 0;  // delete notices parked for recovery
   // Mapped data plane (zero-RPC remote reads; all zero when
   // StoreOptions::mapped_remote_reads is off).
   uint64_t mapped_reads = 0;       // remote Gets served as descriptors
   uint64_t mapped_bytes = 0;       // payload bytes those Gets exposed
-  uint64_t generation_retries = 0;  // cached lookups voided by a gen bump
   uint64_t mapped_fallbacks = 0;   // client refetches after a mismatch
   // k-way replication (zero when replication_factor is 1 and no client
   // passed the per-object replicate flag).
@@ -365,8 +362,6 @@ struct PeerStatsEntry {
   uint64_t failed_rpcs = 0;      // cumulative failed calls to this peer
   uint64_t reconnects = 0;       // channel redials that succeeded
   uint64_t heartbeats = 0;       // Plasma.Ping calls sent to this peer
-  uint64_t queued_notices = 0;   // delete notices parked for recovery
-  uint64_t dropped_notices = 0;  // notices discarded (dead peer / cap)
   int64_t ms_since_ok = -1;      // ms since the last successful call
   int64_t ewma_latency_us = -1;  // smoothed call latency; -1 = no sample
   void EncodeTo(wire::Writer& w) const;

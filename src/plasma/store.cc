@@ -109,18 +109,6 @@ std::shared_ptr<Store::ClientConn> Store::LiveConn(
 
 namespace {
 
-// Completes once both futures have.
-Future<Status> AfterBoth(Future<Status> a, Future<Status> b) {
-  Promise<Status> both;
-  auto left = std::make_shared<std::atomic<int>>(2);
-  auto arrive = [both, left](Status&) mutable {
-    if (left->fetch_sub(1) == 1) both.Set(Status::OK());
-  };
-  a.Then(arrive);
-  b.Then(arrive);
-  return both.GetFuture();
-}
-
 std::unordered_map<ObjectId, RemoteObjectLocation> ToResolvedMap(
     const std::vector<ObjectId>& ids, const DistHooks::Locations& found) {
   std::unordered_map<ObjectId, RemoteObjectLocation> resolved;
@@ -1365,8 +1353,9 @@ void Store::AdoptRemote(Shard& home, const Resolution& res,
     return;
   }
   // Pin before handing the location out: a failed pin means the location
-  // is stale (lost DeleteNotice, restarted peer) and must not reach the
-  // client — it would read dangling pool offsets.
+  // is stale (the home deleted or evicted the object after the lookup,
+  // or restarted) and must not reach the client — it would read
+  // dangling pool offsets.
   ++res->outstanding;
   When(home, dist_hooks_->PinRemote(id, loc, res->pending.op_deadline),
        [this, &home, res, id, loc, count_hit, may_retry](Status& pinned) {
@@ -1384,10 +1373,9 @@ void Store::AdoptRemote(Shard& home, const Resolution& res,
              });
            }
          } else if (may_retry && conn != nullptr) {
-           // Stale location: the dist layer invalidated its cache entry
-           // when the pin failed, so this lookup bypasses the cache and
-           // asks the peers again. One retry only — a second stale
-           // answer means the object is really gone.
+           // Stale location: look the id up again, which can find a
+           // replica. One retry only — a second stale answer means the
+           // object is really gone.
            ++res->outstanding;
            When(home,
                 dist_hooks_->LookupRemote({id}, res->pending.op_deadline),
@@ -1762,16 +1750,10 @@ void Store::HandleDelete(Shard& home, ClientConn& conn,
     notice.id = request->id;
     notice.deleted = true;
     FanOutNotification(&home, notice);
-    if (dist_hooks_ != nullptr) {
-      // Replica drops and delete notices go out together, and the ack
-      // waits for both: a client holding it knows no replica is left.
-      // (Peers whose notice is lost self-heal via stale-pin detection.)
-      Future<Status> drops =
-          replica_holders.empty()
-              ? MakeReadyFuture(Status::OK())
-              : dist_hooks_->DropReplicas(request->id, replica_holders);
-      When(home, AfterBoth(std::move(drops),
-                           dist_hooks_->NotifyDeleted(request->id)),
+    if (dist_hooks_ != nullptr && !replica_holders.empty()) {
+      // The ack waits for the replica drops: a client holding it knows
+      // no replica is left.
+      When(home, dist_hooks_->DropReplicas(request->id, replica_holders),
            [this, &home, weak = conn.weak_from_this(), request_id,
             reply](Status&) {
              if (auto live = LiveConn(home, weak)) {
@@ -2404,11 +2386,8 @@ StoreStats Store::stats() {
       remote_lookup_hits_.load(std::memory_order_relaxed);
   // Peer-health totals from the dist layer (empty without peers).
   if (dist_hooks_ != nullptr) {
-    // Generation-mismatch invalidations of cached descriptors live in
-    // the dist layer (it validates against peers' generation tables).
-    s.generation_retries = dist_hooks_->GenerationRetries();
-    // Deadline/hedging outcomes likewise accumulate in the dist layer
-    // (it owns the per-peer RPC machinery).
+    // Deadline/hedging outcomes accumulate in the dist layer (it owns the
+    // per-peer RPC machinery).
     DistHooks::RobustnessCounters robust =
         dist_hooks_->GetRobustnessCounters();
     s.deadline_exceeded = robust.deadline_exhausted;
@@ -2423,7 +2402,6 @@ StoreStats Store::stats() {
       s.peer_failed_rpcs += peer.failed_rpcs;
       s.peer_reconnects += peer.reconnects;
       s.peer_heartbeats += peer.heartbeats;
-      s.peer_queued_notices += peer.queued_notices;
     }
   }
   return s;

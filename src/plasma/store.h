@@ -174,11 +174,11 @@ struct RemoteObjectLocation {
 // dist::RemoteStoreRegistry. No call blocks: each returns at once with a
 // future that the implementation completes when the peer work is done —
 // on its own I/O thread, or before returning when no peer had to be
-// asked (zero peers, a cache hit). Continuations therefore must not
-// block; the store resumes the client's operation on its shard through
-// the shard mailbox. With the sharded core, calls may arrive
+// asked (zero peers, a shared-index hit). Continuations therefore must
+// not block; the store resumes the client's operation on its shard
+// through the shard mailbox. With the sharded core, calls may arrive
 // concurrently from several shard threads — implementations must be
-// thread-safe (RemoteStoreRegistry is: peer list, cache, and stats are
+// thread-safe (RemoteStoreRegistry is: peer list and stats are
 // mutex-guarded and channels internally synchronized).
 class DistHooks {
  public:
@@ -199,9 +199,9 @@ class DistHooks {
                                        Deadline deadline) = 0;
 
   // Usage-tracking extension: pin/unpin `id` at its home store. A failed
-  // pin means the location is no longer valid (the peer lost or dropped
-  // the object, or is unreachable); implementations invalidate any cached
-  // location so the caller can re-run the lookup path. Pin carries the
+  // pin means the location is no longer valid (the peer dropped the
+  // object after the lookup, or is unreachable); the caller may re-run
+  // the lookup path, which can find another copy. Pin carries the
   // operation deadline (it sits on the client's Get path); Unpin is
   // cleanup and uses the implementation's own RPC bound. The unpin's
   // future completes once the home store has dropped the pin (or the
@@ -212,19 +212,9 @@ class DistHooks {
   virtual Future<Status> UnpinRemote(const ObjectId& id,
                                      const RemoteObjectLocation& loc) = 0;
 
-  // Broadcast that this store dropped `id` (lookup-cache invalidation);
-  // completes when every reachable peer was told.
-  virtual Future<Status> NotifyDeleted(const ObjectId& id) = 0;
-
   // Peer failure handling: per-peer health rows for observability
   // (kPeerStatsRequest). Default: no peers.
   virtual std::vector<PeerStatsEntry> PeerHealth() { return {}; }
-
-  // Mapped data plane: cumulative cached-lookup invalidations caused by
-  // a generation mismatch (the dist layer re-validated a cached
-  // descriptor against the peer's generation table and lost). Folded
-  // into StoreStats::generation_retries.
-  virtual uint64_t GenerationRetries() { return 0; }
 
   // Gray-failure counters folded into StoreStats: operations that
   // exhausted their deadline budget in the dist layer, and the hedged
@@ -604,9 +594,9 @@ class Store {
                     std::span<const uint8_t> body, Deadline op_deadline);
   // Seal, Delete and Release acks wait for the peer work they imply: a
   // seal of a replicated object acks once its replicas are installed, an
-  // origin's delete once its replicas are dropped and the delete notices
-  // delivered, a release of a pinned remote ref once the home store
-  // dropped the pin. The shard serves other clients meanwhile.
+  // origin's delete once its replicas are dropped, a release of a pinned
+  // remote ref once the home store dropped the pin. The shard serves
+  // other clients meanwhile.
   void HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
                   std::span<const uint8_t> body);
   void HandleAbort(Shard& home, ClientConn& conn, uint64_t request_id,
@@ -703,9 +693,8 @@ class Store {
   // generation-stamped location (and the get not forced pinned), the
   // object is handed out as an unpinned descriptor — no PinRemote RPC.
   // Otherwise the location reaches the client only once its pin landed;
-  // a failed pin means the location was stale (the dist layer already
-  // invalidated its cache entry), and `may_retry` allows one fresh
-  // lookup before the id counts as missing.
+  // a failed pin means the location was stale, and `may_retry` allows
+  // one fresh lookup before the id counts as missing.
   void AdoptRemote(Shard& home, const Resolution& res, const ObjectId& id,
                    const RemoteObjectLocation& loc, bool count_hit,
                    bool may_retry);

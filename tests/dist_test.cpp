@@ -1,6 +1,6 @@
 // Tests for the store↔store distributed layer: the RPC service surface,
 // the peer registry (DistHooks implementation), id uniqueness probes,
-// remote pins, and delete-notice cache invalidation. Uses two
+// remote pins and the usage tracker that books them. Uses two
 // fabric-backed stores wired manually (the cluster layer is tested in
 // cluster_test.cpp).
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include "dist/messages.h"
 #include "dist/remote_registry.h"
 #include "dist/service.h"
+#include "dist/usage_tracker.h"
 #include "plasma/client.h"
 #include "plasma/store.h"
 #include "rpc/server.h"
@@ -41,14 +42,10 @@ class DistTest : public ::testing::Test {
       ASSERT_TRUE(store.ok()) << store.status();
       stores_[i] = std::move(store).value();
 
-      RegistryOptions registry_options;
-      registry_options.enable_lookup_cache = true;
-      registries_[i] = std::make_unique<RemoteStoreRegistry>(
-          *node_id, registry_options);
+      registries_[i] = std::make_unique<RemoteStoreRegistry>(*node_id);
       stores_[i]->SetDistHooks(registries_[i].get());
 
-      services_[i] = std::make_unique<StoreService>(
-          stores_[i].get(), registries_[i]->lookup_cache());
+      services_[i] = std::make_unique<StoreService>(stores_[i].get());
       services_[i]->RegisterWith(servers_[i]);
       ASSERT_TRUE(stores_[i]->Start().ok());
       ASSERT_TRUE(servers_[i].Start(0).ok());
@@ -200,41 +197,6 @@ TEST_F(DistTest, RemotePinBlocksEvictionAtHome) {
   EXPECT_TRUE((*producer)->Delete(id).ok());
 }
 
-TEST_F(DistTest, LookupCacheHitsOnRepeatedGets) {
-  Mesh();
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("cached-lookup");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "cache-me").ok());
-
-  for (int i = 0; i < 5; ++i) {
-    auto buffer = (*consumer)->Get(id, 1000);
-    ASSERT_TRUE(buffer.ok());
-    ASSERT_TRUE((*consumer)->Release(id).ok());
-  }
-  auto stats = registries_[0]->lookup_cache()->stats();
-  EXPECT_GE(stats.hits, 4u);  // first get misses, rest hit
-}
-
-TEST_F(DistTest, DeleteNoticeInvalidatesPeerCaches) {
-  Mesh();
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("will-delete");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "temp").ok());
-
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  ASSERT_TRUE((*producer)->Delete(id).ok());
-  // The DeleteNotice broadcast must have invalidated node 0's cache.
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
-}
-
 TEST_F(DistTest, UnreachablePeerDegradesToNotFound) {
   Mesh();
   servers_[1].Stop();  // peer store 1's RPC endpoint dies
@@ -276,6 +238,67 @@ TEST_F(DistTest, UnpinWithoutPinIsKeyError) {
   ObjectId id = ObjectId::FromName("nopin");
   ASSERT_TRUE((*producer)->CreateAndSeal(id, "x").ok());
   EXPECT_EQ(stores_[0]->UnpinForPeer(id, 1).code(), StatusCode::kKeyError);
+}
+
+// ---- usage tracker ---------------------------------------------------------
+
+plasma::RemoteObjectLocation Loc(uint32_t node, uint64_t offset) {
+  plasma::RemoteObjectLocation loc;
+  loc.home_node = node;
+  loc.home_region = node * 10;
+  loc.offset = offset;
+  loc.data_size = 100;
+  return loc;
+}
+
+TEST(UsageTrackerTest, PinUnpinBalance) {
+  UsageTracker tracker;
+  ObjectId id = ObjectId::FromName("a");
+  tracker.RecordPin(id, Loc(1, 0));
+  tracker.RecordPin(id, Loc(1, 0));
+  EXPECT_EQ(tracker.total_pins(), 2u);
+  EXPECT_TRUE(tracker.RecordUnpin(id));
+  EXPECT_EQ(tracker.total_pins(), 1u);
+  EXPECT_TRUE(tracker.RecordUnpin(id));
+  EXPECT_EQ(tracker.total_pins(), 0u);
+  // Unbalanced unpin detected.
+  EXPECT_FALSE(tracker.RecordUnpin(id));
+}
+
+TEST(UsageTrackerTest, SnapshotListsOutstanding) {
+  UsageTracker tracker;
+  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
+  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
+  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
+  auto snapshot = tracker.Snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);
+  uint32_t total = 0;
+  for (const auto& o : snapshot) total += o.count;
+  EXPECT_EQ(total, 3u);
+}
+
+TEST(UsageTrackerTest, DropPinsForNodeForgetsOnlyThatNode) {
+  UsageTracker tracker;
+  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
+  tracker.RecordPin(ObjectId::FromName("a"), Loc(1, 0));
+  tracker.RecordPin(ObjectId::FromName("b"), Loc(2, 0));
+  EXPECT_EQ(tracker.DropPinsForNode(1), 2u);
+  EXPECT_EQ(tracker.total_pins(), 1u);
+  // Dropped pins count as unpins so the cumulative books stay balanced.
+  EXPECT_EQ(tracker.unpins_recorded(), 2u);
+  EXPECT_FALSE(tracker.RecordUnpin(ObjectId::FromName("a")));
+  EXPECT_TRUE(tracker.RecordUnpin(ObjectId::FromName("b")));
+  EXPECT_EQ(tracker.DropPinsForNode(1), 0u);
+}
+
+TEST(UsageTrackerTest, CountersAreCumulative) {
+  UsageTracker tracker;
+  ObjectId id = ObjectId::FromName("a");
+  tracker.RecordPin(id, Loc(1, 0));
+  ASSERT_TRUE(tracker.RecordUnpin(id));
+  tracker.RecordPin(id, Loc(1, 0));
+  EXPECT_EQ(tracker.pins_recorded(), 2u);
+  EXPECT_EQ(tracker.unpins_recorded(), 1u);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Peer failure handling tests: reconnecting RPC channels, the per-peer
 // health state machine (healthy → suspect → dead), dead-peer cleanup
-// (cache invalidation, usage-tracker drops, remote-pin release), queued
-// DeleteNotice flush on recovery, and the cluster-level kill/restart
-// round trip.
+// (usage-tracker drops, remote-pin release), stale-location pins, and
+// the cluster-level kill/restart round trip.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -153,8 +152,7 @@ class FailoverDistTest : public ::testing::Test {
         (void)raw_store->ReleasePinsForPeer(dead);
       });
 
-      services_[i] = std::make_unique<dist::StoreService>(
-          stores_[i].get(), registries_[i]->lookup_cache());
+      services_[i] = std::make_unique<dist::StoreService>(stores_[i].get());
       services_[i]->RegisterWith(servers_[i]);
       ASSERT_TRUE(stores_[i]->Start().ok());
       auto port = StartEphemeral(servers_[i]);
@@ -180,7 +178,6 @@ class FailoverDistTest : public ::testing::Test {
 
   static dist::RegistryOptions FastFailureOptions() {
     dist::RegistryOptions options;
-    options.enable_lookup_cache = true;
     options.rpc_timeout_ms = 1000;
     options.heartbeat_interval_ms = 0;  // tests drive health manually
     options.suspect_after_failures = 1;
@@ -253,10 +250,9 @@ TEST_F(FailoverDistTest, DeadPeerReleasesItsPinsOnSurvivor) {
   EXPECT_TRUE((*producer)->Delete(id).ok());
 }
 
-TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
+TEST_F(FailoverDistTest, StaleLocationFailsPinAndGetMisses) {
   Init(FastFailureOptions());
-  // One-way mesh: node 0 sees node 1, but node 1 has no peers — so its
-  // DeleteNotice broadcast reaches nobody, simulating a lost notice.
+  // One-way mesh: node 0 resolves ids on node 1.
   ASSERT_TRUE(
       registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
 
@@ -269,27 +265,68 @@ TEST_F(FailoverDistTest, StaleCacheEntryInvalidatedOnFailedPin) {
   auto first = (*consumer)->Get(id, 1000);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
 
-  // The notice is lost; node 0's cache still points at the dead offset.
+  // A location looked up before the home deletes the object goes stale:
+  // its pin must fail rather than hand out a dangling offset.
+  auto located = registries_[0]->LookupRemote({id}).Take();
+  ASSERT_EQ(located.size(), 1u);
+  ASSERT_TRUE(located[0].has_value());
   ASSERT_TRUE((*producer)->Delete(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  // The next Get must NOT serve the dangling location: the failed pin
-  // invalidates the entry and the re-run lookup finds nothing.
-  auto gone = (*consumer)->Get(id, /*timeout_ms=*/0);
-  EXPECT_FALSE(gone.ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 0u);
+  const uint64_t stale_before = registries_[0]->stats().stale_pins_detected;
+  EXPECT_FALSE(registries_[0]->PinRemote(id, *located[0]).Take().ok());
+  EXPECT_GT(registries_[0]->stats().stale_pins_detected, stale_before);
   EXPECT_GE(registries_[0]->stats().stale_pins_detected, 1u);
 
-  // After the producer re-creates the object, the fresh lookup path
-  // serves the new bytes.
+  // A fresh Get looks the id up again and finds nothing.
+  auto gone = (*consumer)->Get(id, /*timeout_ms=*/0);
+  EXPECT_FALSE(gone.ok());
+
+  // After the producer re-creates the object, the lookup path serves the
+  // new bytes.
   ASSERT_TRUE((*producer)->CreateAndSeal(id, "recreated-data").ok());
   auto again = (*consumer)->Get(id, 1000);
   ASSERT_TRUE(again.ok()) << again.status();
   auto data = again->CopyData();
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(std::string(data->begin(), data->end()), "recreated-data");
+}
+
+TEST_F(FailoverDistTest, GetRetriesTheLookupOnceWhenItsPinFails) {
+  Init(FastFailureOptions());
+  auto producer = Client(1);
+  auto consumer = Client(0);
+  ASSERT_TRUE(producer.ok() && consumer.ok());
+  ObjectId id = ObjectId::FromName("deleted-before-pin");
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "doomed").ok());
+
+  // Node 1 loses the object between a Get's lookup and its pin: its pin
+  // handler deletes the object before pinning.
+  servers_[1].Stop();
+  servers_[1].RegisterHandler(
+      dist::kMethodPin,
+      [&](const std::vector<uint8_t>& payload)
+          -> Result<std::vector<uint8_t>> {
+        wire::Reader r(payload.data(), payload.size());
+        MDOS_ASSIGN_OR_RETURN(dist::PinRequest request,
+                              dist::PinRequest::DecodeFrom(r));
+        EXPECT_TRUE((*producer)->Delete(request.id).ok());
+        dist::PinReply reply;
+        reply.status = stores_[1]->PinForPeer(request.id, request.peer_node);
+        wire::Writer w;
+        reply.EncodeTo(w);
+        return w.TakeBuffer();
+      });
+  ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
+  ASSERT_TRUE(registries_[0]->AddPeer("127.0.0.1", ports_[1]).ok());
+
+  // The failed pin sends the Get back to the lookup once; the object is
+  // gone, so the Get misses instead of serving the dangling offset.
+  const uint64_t lookups_before = registries_[0]->stats().lookup_rpcs;
+  auto gone = (*consumer)->Get(id, /*timeout_ms=*/0);
+  EXPECT_FALSE(gone.ok());
+  EXPECT_EQ(registries_[0]->stats().stale_pins_detected, 1u);
+  EXPECT_EQ(registries_[0]->stats().lookup_rpcs - lookups_before, 2u);
+  EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
 }
 
 TEST_F(FailoverDistTest, FailedUnpinReRecordsThePin) {
@@ -321,48 +358,6 @@ TEST_F(FailoverDistTest, FailedUnpinReRecordsThePin) {
   registries_[0]->ReleaseAllPins();
   EXPECT_EQ(registries_[0]->usage().total_pins(), 0u);
   EXPECT_TRUE(WaitUntil([&] { return stores_[1]->RemotePins(id) == 0; }));
-}
-
-TEST_F(FailoverDistTest, QueuedDeleteNoticesFlushOnRecovery) {
-  Init(FastFailureOptions());
-  ASSERT_TRUE(
-      registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
-  ASSERT_TRUE(
-      registries_[1]->AddPeer("127.0.0.1", servers_[0].port()).ok());
-
-  auto producer = Client(1);
-  auto consumer = Client(0);
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-  ObjectId id = ObjectId::FromName("reconverge");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, "temp").ok());
-  auto buffer = (*consumer)->Get(id, 1000);
-  ASSERT_TRUE(buffer.ok());
-  ASSERT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  // Node 0's endpoint goes down; node 1 marks it suspect on the first
-  // failed probe.
-  servers_[0].Stop();
-  (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge")).Take();
-  EXPECT_EQ(registries_[1]->peer_state(stores_[0]->node_id()),
-            dist::PeerState::kSuspect);
-
-  // Deleting now parks the notice for the suspect peer instead of losing
-  // it — node 0's stale cache entry survives for the moment.
-  ASSERT_TRUE((*producer)->Delete(id).ok());
-  EXPECT_EQ(registries_[0]->lookup_cache()->size(), 1u);
-
-  // Endpoint restored on the same port; the next successful call flushes
-  // the queue and node 0's cache reconverges.
-  ASSERT_TRUE(servers_[0].Start(ports_[0]).ok());
-  EXPECT_TRUE(WaitUntil([&] {
-    (void)registries_[1]->IdKnownRemotely(ObjectId::FromName("nudge")).Take();
-    return registries_[1]->stats().notices_flushed >= 1;
-  }));
-  EXPECT_TRUE(WaitUntil(
-      [&] { return registries_[0]->lookup_cache()->size() == 0; }));
-  EXPECT_EQ(registries_[1]->peer_state(stores_[0]->node_id()),
-            dist::PeerState::kHealthy);
 }
 
 TEST_F(FailoverDistTest, HeartbeatDetectsDeathAndRecovery) {

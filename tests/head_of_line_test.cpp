@@ -34,6 +34,10 @@ cluster::NodeOptions QuietNode(uint32_t replication_factor = 1) {
   return options;
 }
 
+uint64_t ServerCalls(cluster::Cluster& cluster, size_t node) {
+  return cluster.node(node)->rpc_server().stats().calls;
+}
+
 uint64_t SealedEverywhere(cluster::Cluster& cluster) {
   uint64_t sealed = 0;
   for (size_t i = 0; i < cluster.size(); ++i) {
@@ -127,8 +131,27 @@ TEST(AckOrderTest, OriginDeleteAcksOnceTheReplicaIsGone) {
   ASSERT_TRUE((*cluster)->node(1)->store().ContainsId(id));
 
   ASSERT_TRUE((*cluster)->SlowLink(0, 1, /*latency_ms=*/50).ok());
+  const uint64_t calls_before = ServerCalls(**cluster, 1);
   ASSERT_TRUE((*client)->Delete(id).ok());
   EXPECT_FALSE((*cluster)->node(1)->store().ContainsId(id));
+  // The replica drop is the Delete's only peer RPC.
+  EXPECT_EQ(ServerCalls(**cluster, 1) - calls_before, 1u);
+}
+
+TEST(AckOrderTest, DeleteOfAnUnreplicatedObjectSendsNoPeerRpc) {
+  auto cluster = MakeCluster(3, QuietNode());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto client = (*cluster)->node(0)->CreateClient("producer");
+  ASSERT_TRUE(client.ok());
+  const ObjectId id = ObjectId::FromName("one-copy");
+  ASSERT_TRUE((*client)->CreateAndSeal(id, "k=1").ok());
+
+  uint64_t calls_before[3];
+  for (size_t i = 0; i < 3; ++i) calls_before[i] = ServerCalls(**cluster, i);
+  ASSERT_TRUE((*client)->Delete(id).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ServerCalls(**cluster, i), calls_before[i]) << "node " << i;
+  }
 }
 
 TEST(AckOrderTest, ReleaseOfAPinnedRemoteRefAcksOnceTheHomeUnpinned) {

@@ -162,11 +162,9 @@ TEST(ProtocolTest, StatsReply) {
   m.stats.evictions = 2;
   m.stats.remote_lookups = 9;
   m.stats.remote_lookup_hits = 4;
-  m.stats.lookup_cache_hits = 3;
   StatsReply d = RoundTrip(m);
   EXPECT_EQ(d.stats.capacity, 100u);
   EXPECT_EQ(d.stats.remote_lookup_hits, 4u);
-  EXPECT_EQ(d.stats.lookup_cache_hits, 3u);
 }
 
 TEST(ProtocolTest, CorruptGetReplyLocationRejected) {
@@ -209,7 +207,10 @@ std::vector<uint8_t> EncodeFrameBytes(uint32_t type,
   hdr.crc = Crc32(payload.data(), payload.size());
   std::vector<uint8_t> out(sizeof(hdr) + payload.size());
   std::memcpy(out.data(), &hdr, sizeof(hdr));
-  std::memcpy(out.data() + sizeof(hdr), payload.data(), payload.size());
+  // An empty payload's data() may be null, which memcpy must not see.
+  if (!payload.empty()) {
+    std::memcpy(out.data() + sizeof(hdr), payload.data(), payload.size());
+  }
   return out;
 }
 
@@ -356,7 +357,7 @@ TEST(DistMessagesTest, LookupRoundTrip) {
   EXPECT_FALSE(d.entries[1].found);
 }
 
-TEST(DistMessagesTest, ProbePinNotice) {
+TEST(DistMessagesTest, ProbeAndPin) {
   ProbeRequest probe;
   probe.id = ObjectId::FromName("p");
   EXPECT_EQ(RoundTrip(probe).id, probe.id);
@@ -374,13 +375,6 @@ TEST(DistMessagesTest, ProbePinNotice) {
   PinReply pin_reply;
   pin_reply.status = Status::KeyError("gone");
   EXPECT_EQ(RoundTrip(pin_reply).status.code(), StatusCode::kKeyError);
-
-  DeleteNotice notice;
-  notice.id = ObjectId::FromName("del");
-  notice.from_node = 2;
-  DeleteNotice dnotice = RoundTrip(notice);
-  EXPECT_EQ(dnotice.id, notice.id);
-  EXPECT_EQ(dnotice.from_node, 2u);
 }
 
 }  // namespace

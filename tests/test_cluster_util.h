@@ -95,14 +95,13 @@ inline Result<uint16_t> StartEphemeral(rpc::RpcServer& server) {
   return server.port();
 }
 
-// Node profile for failure-handling suites: small pool, lookup cache
-// on, and an aggressive health machine (20 ms heartbeat, dead after 3
-// strikes) so kill/heal round trips converge in tens of milliseconds
-// instead of test-killing seconds.
+// Node profile for failure-handling suites: small pool and an
+// aggressive health machine (20 ms heartbeat, dead after 3 strikes) so
+// kill/heal round trips converge in tens of milliseconds instead of
+// test-killing seconds. Everything else is the shipped default.
 inline cluster::NodeOptions FailoverNodeOptions() {
   cluster::NodeOptions options;
   options.pool_size = 8 << 20;
-  options.registry.enable_lookup_cache = true;
   options.registry.rpc_timeout_ms = 2000;
   options.registry.heartbeat_interval_ms = 20;
   options.registry.ping_timeout_ms = 200;

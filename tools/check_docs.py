@@ -6,6 +6,9 @@ Fails (exit 1) when:
     path that does not exist;
   * a benchmark binary (bench/bench_*.cpp, bench_common excluded) is
     never mentioned in docs/;
+  * docs/ or README.md names a `bench_<name>` binary that has no
+    bench/bench_<name>.cpp (a deleted or renamed bench left its row
+    behind);
   * a src/ subsystem directory is never mentioned in docs/.
 
 External links (http/https/mailto) and pure anchors are not checked —
@@ -21,6 +24,11 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # [text](target) — good enough for the hand-written markdown in this
 # repo; images and reference-style links are not used.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# A `bench_<name>` binary reference. The bare `bench_` prefix and
+# `bench_*` globs are not references to one binary, and `.bench_build`
+# is the perfbench build directory.
+BENCH_REF_RE = re.compile(r"(?<![\w.-])(bench_\w+)(?![\w*])")
 
 # Generated retrieval artifacts (paper extraction, snippet corpus):
 # their image/figure references were never part of this repo.
@@ -82,6 +90,16 @@ def check_bench_coverage(corpus):
     return errors
 
 
+def check_bench_references(corpus):
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
+        text = corpus + f.read()
+    return [f"docs/ or README.md names `{binary}`, but bench/{binary}.cpp "
+            f"does not exist"
+            for binary in sorted(set(BENCH_REF_RE.findall(text)))
+            if not os.path.exists(os.path.join(REPO, "bench",
+                                               binary + ".cpp"))]
+
+
 def check_fuzz_coverage(corpus):
     errors = []
     fuzz_dir = os.path.join(REPO, "fuzz")
@@ -133,6 +151,7 @@ def check_subsystem_coverage(corpus):
 def main():
     corpus = docs_corpus()
     errors = (check_links() + check_bench_coverage(corpus) +
+              check_bench_references(corpus) +
               check_subsystem_coverage(corpus) + check_fuzz_coverage(corpus) +
               check_mdos_check_coverage(corpus))
     for error in errors:
@@ -141,7 +160,7 @@ def main():
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
     print("docs OK: links resolve; benches, subsystems, fuzz harnesses, "
-          "and mdos-check checkers covered")
+          "and mdos-check checkers covered; every named bench exists")
     return 0
 
 

@@ -142,16 +142,12 @@ int CmdStats(plasma::PlasmaClient& client) {
               static_cast<unsigned long long>(stats->peer_reconnects));
   std::printf("peer_heartbeats:     %llu\n",
               static_cast<unsigned long long>(stats->peer_heartbeats));
-  std::printf("peer_queued_notices: %llu\n",
-              static_cast<unsigned long long>(stats->peer_queued_notices));
   // Mapped data plane (zero-RPC remote reads); all zero when
   // mapped_remote_reads is off.
   std::printf("mapped_reads:        %llu\n",
               static_cast<unsigned long long>(stats->mapped_reads));
   std::printf("mapped_bytes:        %llu\n",
               static_cast<unsigned long long>(stats->mapped_bytes));
-  std::printf("generation_retries:  %llu\n",
-              static_cast<unsigned long long>(stats->generation_retries));
   std::printf("mapped_fallbacks:    %llu\n",
               static_cast<unsigned long long>(stats->mapped_fallbacks));
   // k-way replication and re-heal progress; all zero when
@@ -169,22 +165,19 @@ int CmdStats(plasma::PlasmaClient& client) {
   // peers. Non-fatal like the shard table below.
   auto peers = client.PeerStats();
   if (peers.ok() && !peers->empty()) {
-    std::printf("\n%-8s %-9s %-8s %-9s %-11s %-11s %-8s %-9s %-12s\n",
+    std::printf("\n%-8s %-9s %-8s %-9s %-11s %-11s %-12s\n",
                 "peer", "state", "streak", "failed", "reconnects",
-                "heartbeats", "queued", "dropped", "ms_since_ok");
+                "heartbeats", "ms_since_ok");
     static const char* kStateNames[] = {"healthy", "suspect", "dead"};
     for (const auto& p : *peers) {
       const char* state =
           p.state < 3 ? kStateNames[p.state] : "?";
-      std::printf("%-8u %-9s %-8llu %-9llu %-11llu %-11llu %-8llu %-9llu "
-                  "%-12lld\n",
+      std::printf("%-8u %-9s %-8llu %-9llu %-11llu %-11llu %-12lld\n",
                   p.node_id, state,
                   static_cast<unsigned long long>(p.failure_streak),
                   static_cast<unsigned long long>(p.failed_rpcs),
                   static_cast<unsigned long long>(p.reconnects),
                   static_cast<unsigned long long>(p.heartbeats),
-                  static_cast<unsigned long long>(p.queued_notices),
-                  static_cast<unsigned long long>(p.dropped_notices),
                   static_cast<long long>(p.ms_since_ok));
     }
   }
