@@ -124,11 +124,17 @@ Result<ProbeReply> ProbeReply::DecodeFrom(wire::Reader& r) {
 void PinRequest::EncodeTo(wire::Writer& w) const {
   w.PutObjectId(id);
   w.PutU32(peer_node);
+  w.PutU64(offset);
+  w.PutU64(data_size);
+  w.PutU64(metadata_size);
 }
 Result<PinRequest> PinRequest::DecodeFrom(wire::Reader& r) {
   PinRequest m;
   MDOS_ASSIGN_OR_RETURN(m.id, r.GetObjectId());
   MDOS_ASSIGN_OR_RETURN(m.peer_node, r.GetU32());
+  MDOS_ASSIGN_OR_RETURN(m.offset, r.GetU64());
+  MDOS_ASSIGN_OR_RETURN(m.data_size, r.GetU64());
+  MDOS_ASSIGN_OR_RETURN(m.metadata_size, r.GetU64());
   return m;
 }
 

@@ -98,6 +98,18 @@ struct ProbeReply {
 struct PinRequest {
   ObjectId id;
   uint32_t peer_node = 0;  // the pinning (requesting) node
+  // Where the pinning node's lookup found the object. The home refuses
+  // a pin whose entry no longer matches (Store::PinForPeer).
+  uint64_t offset = 0;
+  uint64_t data_size = 0;
+  uint64_t metadata_size = 0;
+  plasma::RemoteObjectLocation location() const {
+    plasma::RemoteObjectLocation loc;
+    loc.offset = offset;
+    loc.data_size = data_size;
+    loc.metadata_size = metadata_size;
+    return loc;
+  }
   void EncodeTo(wire::Writer& w) const;
   static Result<PinRequest> DecodeFrom(wire::Reader& r);
 };
@@ -108,7 +120,7 @@ struct PinReply {
   static Result<PinReply> DecodeFrom(wire::Reader& r);
 };
 
-// Unpin reuses the same shapes.
+// Unpin reuses the same shapes; it ignores the location fields.
 using UnpinRequest = PinRequest;
 using UnpinReply = PinReply;
 

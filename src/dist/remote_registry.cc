@@ -697,6 +697,9 @@ Future<Status> RemoteStoreRegistry::PinRemote(
   PinRequest request;
   request.id = id;
   request.peer_node = self_node_;
+  request.offset = loc.offset;
+  request.data_size = loc.data_size;
+  request.metadata_size = loc.metadata_size;
   {
     MutexLock lock(mutex_);
     ++stats_.pin_rpcs;

@@ -84,7 +84,8 @@ void StoreService::RegisterWith(rpc::RpcServer& server) {
         MDOS_ASSIGN_OR_RETURN(PinRequest request,
                               DecodeRequest<PinRequest>(payload));
         PinReply reply;
-        reply.status = store->PinForPeer(request.id, request.peer_node);
+        reply.status = store->PinForPeer(request.id, request.peer_node,
+                                         request.location());
         return EncodeReply(reply);
       });
 

@@ -2,6 +2,8 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -105,6 +107,10 @@ Status AsyncClient::Disconnect() {
   if (reader_.joinable()) reader_.join();
   // Belt and braces: if the reader never ran, fail stragglers here.
   FailAllPending(Status::NotConnected("client disconnected"));
+  {
+    MutexLock lock(mapped_mutex_);
+    mapped_refs_.clear();
+  }
   {
     // Senders read fd_ only under send_mutex_, so closing it here cannot
     // race a write onto a recycled descriptor.
@@ -405,6 +411,7 @@ Future<Result<std::vector<ObjectBuffer>>> AsyncClient::GetAsync(
         for (const GetReplyEntry& entry : reply.entries) {
           buffers.push_back(MakeBuffer(entry, /*writable=*/false));
         }
+        CountMappedRefs(buffers);
         return buffers;
       });
 }
@@ -439,6 +446,7 @@ Future<Result<ObjectBuffer>> AsyncClient::GetOneInternal(const ObjectId& id,
         if (!buffer.valid()) {
           return Status::KeyError("object " + id.Hex() + " not found");
         }
+        CountMappedRefs({&buffer, 1});
         return buffer;
       });
 }
@@ -452,11 +460,11 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
                                        /*pinned=*/true, /*fallback=*/true,
                                        Deadline::Infinite())
                             .Take());
-  // One Release retires the dead mapped reference — the store consumes
-  // mapped refs before pinned ones — leaving exactly the new pin for the
-  // caller's eventual Release. This holds on the error path below too.
-  MDOS_WARN_IF_ERROR(ReleaseAsync(stale.id_).Take(),
-                     "retiring stale mapped reference during refetch");
+  // The caller's one Release now belongs to the fresh ref, which the
+  // store holds, so the stale descriptor's mapped ref is retired here.
+  // Sending a Release instead would drop the pin just taken. This holds
+  // on the error path below too.
+  ConsumeMappedRef(stale.id_);
   if (fresh.data_size_ != stale.data_size_ ||
       fresh.metadata_size_ != stale.metadata_size_) {
     // The id was re-created with a different shape; offsets the caller
@@ -475,8 +483,29 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
   return Status::OK();
 }
 
+void AsyncClient::CountMappedRefs(std::span<const ObjectBuffer> buffers) {
+  std::vector<ObjectId> ids;
+  for (const ObjectBuffer& buffer : buffers) {
+    if (buffer.is_mapped()) ids.push_back(buffer.id());
+  }
+  if (ids.empty()) return;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  MutexLock lock(mapped_mutex_);
+  for (const ObjectId& id : ids) ++mapped_refs_[id];
+}
+
+bool AsyncClient::ConsumeMappedRef(const ObjectId& id) {
+  MutexLock lock(mapped_mutex_);
+  auto it = mapped_refs_.find(id);
+  if (it == mapped_refs_.end()) return false;
+  if (--it->second == 0) mapped_refs_.erase(it);
+  return true;
+}
+
 Future<Status> AsyncClient::ReleaseAsync(const ObjectId& id,
                                          Deadline deadline) {
+  if (ConsumeMappedRef(id)) return MakeReadyFuture(Status::OK());
   ReleaseRequest request;
   request.id = id;
   return Dispatch<ReleaseReply>(

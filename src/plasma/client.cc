@@ -87,10 +87,15 @@ bool ObjectBuffer::GenerationIntact() const {
   // reordered past the generation re-read; the descriptor's generation
   // was sampled by the home store BEFORE the offset was issued, so an
   // unchanged slot (in the same table incarnation) proves no destructive
-  // transition overlapped the copy.
+  // transition overlapped the copy. The epoch and slot loads are
+  // independent, so they are charged as one pipelined wave: one base
+  // latency after the copy, not two.
   std::atomic_thread_fence(std::memory_order_acquire);
-  return gen_->reader.Epoch() == gen_epoch_ &&
-         gen_->reader.Read(gen_slot_) == generation_;
+  tf::AccessBatch wave(gen_->reader.latency());
+  const uint64_t epoch = gen_->reader.Epoch(&wave);
+  const uint64_t generation = gen_->reader.Read(gen_slot_, &wave);
+  wave.Settle();
+  return epoch == gen_epoch_ && generation == generation_;
 }
 
 Status ObjectBuffer::FallbackToPinned() const {

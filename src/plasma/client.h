@@ -87,6 +87,9 @@ class ObjectBuffer {
   Status WriteData(uint64_t offset, const void* src, uint64_t size);
   // Streaming read of the whole data section; returns its CRC32. This is
   // the paper's "sequentially retrieve the buffer data" consumption path.
+  // Through a fabric the CRC is taken over the mapped bytes in place
+  // (AttachedRegion::ChecksumRead); on a mapped buffer it is returned
+  // only if the generation re-check after it passes.
   Result<uint32_t> ChecksumData(uint64_t chunk = 1 << 20) const;
 
   // Metadata-section access.

@@ -102,6 +102,8 @@ class GenerationReader {
                                        tf::LatencyParams latency);
 
   uint64_t capacity() const { return capacity_; }
+  // The model each access is charged at (for callers settling a wave).
+  const tf::LatencyParams& latency() const { return latency_; }
   uint64_t SlotFor(const ObjectId& id) const;
 
   // Current generation of `slot` (acquire load + modelled latency).

@@ -667,7 +667,8 @@ void Store::DropClient(Shard& shard, int fd) {
   }
   std::vector<std::pair<ObjectId, RemoteObjectLocation>> remote_unpins;
   for (const auto& [id, ref] : conn->remote_refs) {
-    // Mapped refs owe the home store nothing; only pinned refs unpin.
+    // Every recorded remote ref is a pin (mapped descriptors are not
+    // recorded): each owes its home store one unpin.
     for (uint32_t i = 0; i < ref.pinned; ++i) {
       remote_unpins.emplace_back(id, ref.loc);
     }
@@ -1400,9 +1401,8 @@ void Store::AdoptLocation(Shard& home, ClientConn& conn, PendingGet& pending,
                           const RemoteObjectLocation& loc, bool mapped,
                           bool count_hit) {
   if (mapped) {
-    auto& ref = conn.remote_refs[id];
-    ref.loc = loc;
-    ++ref.mapped;
+    // The descriptor holds nothing here or at its home; the client
+    // releases it without telling the store.
     home.mapped_reads.fetch_add(1, std::memory_order_relaxed);
     home.mapped_bytes.fetch_add(loc.data_size + loc.metadata_size,
                                 std::memory_order_relaxed);
@@ -1636,18 +1636,8 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
   } else {
     auto remote_it = conn.remote_refs.find(request->id);
     if (remote_it != conn.remote_refs.end()) {
-      auto& ref = remote_it->second;
-      if (ref.mapped > 0) {
-        // Mapped descriptors hold no pin at the home store; nothing to
-        // send. Consumed before pinned refs so a client's transparent
-        // fallback (old mapped ref + fresh pinned ref on the same id)
-        // retires the descriptor and keeps the pin it still needs.
-        --ref.mapped;
-      } else if (ref.pinned > 0) {
-        --ref.pinned;
-        remote_unpin = ref.loc;
-      }
-      if (ref.mapped == 0 && ref.pinned == 0) {
+      remote_unpin = remote_it->second.loc;
+      if (--remote_it->second.pinned == 0) {
         conn.remote_refs.erase(remote_it);
       }
     } else {
@@ -1867,7 +1857,8 @@ bool Store::ContainsId(const ObjectId& id) {
   return owner.table.Contains(id);
 }
 
-Status Store::PinForPeer(const ObjectId& id, uint32_t peer_node) {
+Status Store::PinForPeer(const ObjectId& id, uint32_t peer_node,
+                         const RemoteObjectLocation& seen) {
   Shard& owner = OwnerShard(id);
   MutexLock lock(owner.mutex);
   auto entry = owner.table.Lookup(id);
@@ -1877,6 +1868,11 @@ Status Store::PinForPeer(const ObjectId& id, uint32_t peer_node) {
   }
   if (!entry.ok() || entry->state != ObjectState::kSealed) {
     return Status::KeyError("pin: object " + id.Hex() + " not sealed here");
+  }
+  if (entry->offset != seen.offset || entry->data_size != seen.data_size ||
+      entry->metadata_size != seen.metadata_size) {
+    return Status::KeyError("pin: object " + id.Hex() +
+                            " moved since the peer's lookup");
   }
   ++owner.remote_pins[id][peer_node];
   return Status::OK();

@@ -1,9 +1,9 @@
 #include "tf/attached_region.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/crc32.h"
@@ -85,8 +85,9 @@ Status AttachedRegion::ConsultInjector(uint64_t size) const {
   return Status::OK();
 }
 
-Status AttachedRegion::Read(uint64_t offset, void* dst,
-                            uint64_t size) const {
+template <typename Sink>
+Status AttachedRegion::Load(uint64_t offset, uint64_t size,
+                            Sink&& sink) const {
   MDOS_RETURN_IF_ERROR(CheckBounds(offset, size));
   MDOS_RETURN_IF_ERROR(ConsultInjector(size));
   const int64_t start = MonotonicNanos();
@@ -99,14 +100,23 @@ Status AttachedRegion::Read(uint64_t offset, void* dst,
   }
   stream_cursor_.store(offset + size, std::memory_order_relaxed);
   if (remote_ || !model_home_cache_) {
-    // OpenCAPI remote reads are cache-coherent: fetch current memory.
-    // (Local reads take the same fast path unless the functional cache
-    // model is enabled — see FabricConfig::model_home_cache.)
-    std::memcpy(dst, base_ + offset, size);
+    // OpenCAPI remote reads are cache-coherent: load current memory in
+    // place. (Local reads take the same fast path unless the functional
+    // cache model is enabled — see FabricConfig::model_home_cache.)
+    sink(base_ + offset, size);
   } else {
     // The home node reads its own memory through its CPU cache model and
-    // can therefore observe stale lines after remote writes.
-    home_->home_cache().Read(base_offset_ + offset, dst, size);
+    // can therefore observe stale lines after remote writes. Pieces end
+    // on 4 KiB boundaries, so no cache line is split between two.
+    uint8_t piece[4096] = {};
+    uint64_t pos = base_offset_ + offset;
+    const uint64_t end = pos + size;
+    while (pos < end) {
+      const uint64_t n = std::min(end, (pos | (sizeof piece - 1)) + 1) - pos;
+      home_->home_cache().Read(pos, piece, n);
+      sink(piece, n);
+      pos += n;
+    }
   }
   EnforceModel(effective, size, start);
   if (fabric_counters_ != nullptr) {
@@ -115,6 +125,15 @@ Status AttachedRegion::Read(uint64_t offset, void* dst,
                        __ATOMIC_RELAXED);
   }
   return Status::OK();
+}
+
+Status AttachedRegion::Read(uint64_t offset, void* dst,
+                            uint64_t size) const {
+  auto* out = static_cast<uint8_t*>(dst);
+  return Load(offset, size, [&out](const uint8_t* bytes, uint64_t n) {
+    std::memcpy(out, bytes, n);
+    out += n;
+  });
 }
 
 Status AttachedRegion::Write(uint64_t offset, const void* src,
@@ -146,14 +165,12 @@ Result<uint32_t> AttachedRegion::ChecksumRead(uint64_t offset,
                                               uint64_t chunk) const {
   MDOS_RETURN_IF_ERROR(CheckBounds(offset, size));
   if (chunk == 0) return Status::Invalid("chunk must be positive");
-  std::vector<uint8_t> scratch(std::min(chunk, size));
   uint32_t crc = 0;
-  uint64_t pos = 0;
-  while (pos < size) {
-    uint64_t n = std::min(chunk, size - pos);
-    MDOS_RETURN_IF_ERROR(Read(offset + pos, scratch.data(), n));
-    crc = Crc32Update(crc, scratch.data(), n);
-    pos += n;
+  for (uint64_t pos = 0; pos < size; pos += chunk) {
+    MDOS_RETURN_IF_ERROR(Load(offset + pos, std::min(chunk, size - pos),
+                              [&crc](const uint8_t* bytes, uint64_t n) {
+                                crc = Crc32Update(crc, bytes, n);
+                              }));
   }
   return crc;
 }

@@ -53,9 +53,14 @@ class AttachedRegion {
   // modelled home-cache staleness (see CacheModel::NoteRemoteWrite).
   Status Write(uint64_t offset, const void* src, uint64_t size) const;
 
-  // Streaming read that applies the bandwidth model in `chunk` pieces;
-  // returns the CRC32 of the data read. This is the "client sequentially
-  // retrieves the buffer data" path of the paper's benchmarks.
+  // Streaming read that applies the model in `chunk` pieces and returns
+  // the CRC32 of the data read. The CRC is taken over the mapped bytes
+  // in place, inside each chunk's modelled window, as a consumer loading
+  // from mapped remote memory does: nothing is allocated, and only a
+  // home read through the cache model copies. Each chunk counts as one
+  // read in the fabric counters, exactly like Read.
+  // This is the "client sequentially retrieves the buffer data" path of
+  // the paper's benchmarks.
   Result<uint32_t> ChecksumRead(uint64_t offset, uint64_t size,
                                 uint64_t chunk = 1 << 20) const;
 
@@ -75,6 +80,13 @@ class AttachedRegion {
                  uint32_t accessor_node = 0);
 
   Status CheckBounds(uint64_t offset, uint64_t size) const;
+  // One modelled read of [offset, offset+size), shared by Read and each
+  // ChecksumRead chunk: bounds, fault injector, stream detection, the
+  // model charge and the fabric counters. `sink(bytes, n)` consumes the
+  // bytes inside the charged window, in order: the mapped bytes in one
+  // call, or pieces loaded through the home cache model.
+  template <typename Sink>
+  Status Load(uint64_t offset, uint64_t size, Sink&& sink) const;
   // Chaos hook: remote accesses consult the cluster's fault injector
   // (accessor -> home direction). A partitioned or dropped access fails
   // with Unavailable — the mapped data plane's equivalent of a lost

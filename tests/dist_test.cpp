@@ -228,7 +228,7 @@ TEST_F(DistTest, UsageTrackerBalancedAfterReleaseAll) {
 
 TEST_F(DistTest, PinForPeerRequiresSealedObject) {
   EXPECT_EQ(
-      stores_[0]->PinForPeer(ObjectId::FromName("ghost"), 1).code(),
+      stores_[0]->PinForPeer(ObjectId::FromName("ghost"), 1, {}).code(),
       StatusCode::kKeyError);
 }
 

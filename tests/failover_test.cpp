@@ -291,6 +291,93 @@ TEST_F(FailoverDistTest, StaleLocationFailsPinAndGetMisses) {
   EXPECT_EQ(std::string(data->begin(), data->end()), "recreated-data");
 }
 
+// A pin names the location its lookup returned. If the home deleted and
+// re-created the id since, the pin must be refused rather than land on
+// the new incarnation while the peer reads the old offset and sizes.
+TEST_F(FailoverDistTest, PinOfARecreatedObjectIsRefused) {
+  Init(FastFailureOptions());
+  ASSERT_TRUE(
+      registries_[0]->AddPeer("127.0.0.1", servers_[1].port()).ok());
+  auto producer = Client(1);
+  auto consumer = Client(0);
+  ASSERT_TRUE(producer.ok() && consumer.ok());
+  ObjectId id = ObjectId::FromName("recreated-before-pin");
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "first incarnation").ok());
+
+  auto located = registries_[0]->LookupRemote({id}).Take();
+  ASSERT_EQ(located.size(), 1u);
+  ASSERT_TRUE(located[0].has_value());
+  ASSERT_TRUE((*producer)->Delete(id).ok());
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "second, longer incarnation")
+                  .ok());
+
+  const uint64_t stale_before = registries_[0]->stats().stale_pins_detected;
+  Status pinned = registries_[0]->PinRemote(id, *located[0]).Take();
+  EXPECT_EQ(pinned.code(), StatusCode::kKeyError) << pinned;
+  EXPECT_EQ(registries_[0]->stats().stale_pins_detected, stale_before + 1);
+  EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
+
+  auto again = (*consumer)->Get(id, 1000);
+  ASSERT_TRUE(again.ok()) << again.status();
+  auto data = again->CopyData();
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(std::string(data->begin(), data->end()),
+            "second, longer incarnation");
+  ASSERT_TRUE((*consumer)->Release(id).ok());
+  EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
+}
+
+// The same race inside a Get: the home re-creates the id between the
+// Get's lookup and its pin. The refused pin sends the Get back to the
+// lookup once, and the Get serves the new incarnation's bytes.
+TEST_F(FailoverDistTest, GetRetriesTheLookupWhenItsPinFindsANewIncarnation) {
+  Init(FastFailureOptions());
+  auto producer = Client(1);
+  auto consumer = Client(0);
+  ASSERT_TRUE(producer.ok() && consumer.ok());
+  ObjectId id = ObjectId::FromName("recreated-during-get");
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, "old").ok());
+
+  // Node 1's pin handler re-creates the object, bigger, before the first
+  // pin it serves.
+  bool recreated = false;
+  servers_[1].Stop();
+  servers_[1].RegisterHandler(
+      dist::kMethodPin,
+      [&](const std::vector<uint8_t>& payload)
+          -> Result<std::vector<uint8_t>> {
+        wire::Reader r(payload.data(), payload.size());
+        MDOS_ASSIGN_OR_RETURN(dist::PinRequest request,
+                              dist::PinRequest::DecodeFrom(r));
+        if (!recreated) {
+          recreated = true;
+          EXPECT_TRUE((*producer)->Delete(request.id).ok());
+          EXPECT_TRUE(
+              (*producer)->CreateAndSeal(request.id, "new and longer").ok());
+        }
+        dist::PinReply reply;
+        reply.status = stores_[1]->PinForPeer(request.id, request.peer_node,
+                                              request.location());
+        wire::Writer w;
+        reply.EncodeTo(w);
+        return w.TakeBuffer();
+      });
+  ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
+  ASSERT_TRUE(registries_[0]->AddPeer("127.0.0.1", ports_[1]).ok());
+
+  const uint64_t lookups_before = registries_[0]->stats().lookup_rpcs;
+  auto got = (*consumer)->Get(id, /*timeout_ms=*/0);
+  ASSERT_TRUE(got.ok()) << got.status();
+  auto data = got->CopyData();
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(std::string(data->begin(), data->end()), "new and longer");
+  EXPECT_EQ(registries_[0]->stats().stale_pins_detected, 1u);
+  EXPECT_EQ(registries_[0]->stats().lookup_rpcs - lookups_before, 2u);
+  EXPECT_EQ(stores_[1]->RemotePins(id), 1u);
+  ASSERT_TRUE((*consumer)->Release(id).ok());
+  EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
+}
+
 TEST_F(FailoverDistTest, GetRetriesTheLookupOnceWhenItsPinFails) {
   Init(FastFailureOptions());
   auto producer = Client(1);
@@ -311,7 +398,8 @@ TEST_F(FailoverDistTest, GetRetriesTheLookupOnceWhenItsPinFails) {
                               dist::PinRequest::DecodeFrom(r));
         EXPECT_TRUE((*producer)->Delete(request.id).ok());
         dist::PinReply reply;
-        reply.status = stores_[1]->PinForPeer(request.id, request.peer_node);
+        reply.status = stores_[1]->PinForPeer(request.id, request.peer_node,
+                                              request.location());
         wire::Writer w;
         reply.EncodeTo(w);
         return w.TakeBuffer();

@@ -369,8 +369,14 @@ TEST(DistMessagesTest, ProbeAndPin) {
   PinRequest pin;
   pin.id = ObjectId::FromName("pin");
   pin.peer_node = 6;
+  pin.offset = 4096;
+  pin.data_size = 300;
+  pin.metadata_size = 7;
   PinRequest dpin = RoundTrip(pin);
   EXPECT_EQ(dpin.peer_node, 6u);
+  EXPECT_EQ(dpin.offset, 4096u);
+  EXPECT_EQ(dpin.data_size, 300u);
+  EXPECT_EQ(dpin.metadata_size, 7u);
 
   PinReply pin_reply;
   pin_reply.status = Status::KeyError("gone");

@@ -283,7 +283,7 @@ TEST_F(SpillTierTest, PeerLookupRestoresSpilledObjects) {
   auto stats = store_->stats();
   EXPECT_GE(stats.spill_restores, 1u);
   // The peer may pin the restored object at the reported location.
-  ASSERT_TRUE(store_->PinForPeer(Id(1), /*peer_node=*/7).ok());
+  ASSERT_TRUE(store_->PinForPeer(Id(1), /*peer_node=*/7, *locations[0]).ok());
   EXPECT_EQ(store_->RemotePins(Id(1)), 1u);
   ASSERT_TRUE(store_->UnpinForPeer(Id(1), 7).ok());
 }

@@ -2,12 +2,14 @@
 // semantics, the latency model, and traffic counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "net/fault_injector.h"
 #include "tf/fabric.h"
 
 namespace mdos::tf {
@@ -146,6 +148,78 @@ TEST(FabricTest, ChecksumReadMatchesContents) {
   EXPECT_EQ(*remote_crc, expected);
 }
 
+// ChecksumRead is Read without the copy: each chunk is one modelled
+// read, so the fabric counters move exactly as Reads of the same chunks.
+TEST(FabricTest, ChecksumReadCountsLikeChunkedReads) {
+  Fabric fabric(FastConfig());
+  auto n0 = fabric.AddNode("n0", 1 << 20);
+  auto n1 = fabric.AddNode("n1", 1 << 20);
+  ASSERT_TRUE(n0.ok() && n1.ok());
+  auto region = fabric.ExportRegion(*n0, 0, 1 << 20);
+  ASSERT_TRUE(region.ok());
+  auto local = fabric.Attach(*n0, *region);
+  auto remote = fabric.Attach(*n1, *region);
+  ASSERT_TRUE(local.ok() && remote.ok());
+
+  constexpr uint64_t kOffset = 13, kSize = 100000, kChunk = 4096;
+  auto delta = [&fabric](const FabricStats& before) {
+    FabricStats after = fabric.stats();
+    return std::vector<uint64_t>{
+        after.local.reads - before.local.reads,
+        after.local.read_bytes - before.local.read_bytes,
+        after.remote.reads - before.remote.reads,
+        after.remote.read_bytes - before.remote.read_bytes};
+  };
+  for (const AttachedRegion* region_view : {&*local, &*remote}) {
+    FabricStats before = fabric.stats();
+    ASSERT_TRUE(region_view->ChecksumRead(kOffset, kSize, kChunk).ok());
+    std::vector<uint64_t> checksummed = delta(before);
+
+    before = fabric.stats();
+    std::vector<uint8_t> scratch(kChunk);
+    for (uint64_t pos = 0; pos < kSize; pos += kChunk) {
+      ASSERT_TRUE(region_view
+                      ->Read(kOffset + pos, scratch.data(),
+                             std::min(kChunk, kSize - pos))
+                      .ok());
+    }
+    EXPECT_EQ(checksummed, delta(before));
+    const uint64_t chunks = (kSize + kChunk - 1) / kChunk;
+    const size_t side = region_view->is_remote() ? 2 : 0;
+    EXPECT_EQ(checksummed[side], chunks);
+    EXPECT_EQ(checksummed[side + 1], kSize);
+  }
+}
+
+TEST(FabricTest, ChecksumReadFailsAcrossPartitionedLink) {
+  net::FaultInjector injector(/*seed=*/3);
+  Fabric fabric(FastConfig());
+  fabric.SetFaultInjector(&injector);
+  auto n0 = fabric.AddNode("n0", 1 << 16);
+  auto n1 = fabric.AddNode("n1", 1 << 16);
+  ASSERT_TRUE(n0.ok() && n1.ok());
+  auto region = fabric.ExportRegion(*n0, 0, 1 << 16);
+  ASSERT_TRUE(region.ok());
+  auto local = fabric.Attach(*n0, *region);
+  auto remote = fabric.Attach(*n1, *region);
+  ASSERT_TRUE(local.ok() && remote.ok());
+  ASSERT_TRUE(remote->ChecksumRead(0, 8192).ok());
+
+  net::LinkFault partition;
+  partition.partitioned = true;
+  injector.SetFault(*n1, *n0, partition);
+  const uint64_t remote_reads = fabric.stats().remote.reads;
+  auto crc = remote->ChecksumRead(0, 8192, /*chunk=*/1024);
+  EXPECT_EQ(crc.status().code(), StatusCode::kUnavailable) << crc.status();
+  EXPECT_EQ(fabric.stats().remote.reads, remote_reads)
+      << "a dropped access must not count as a read";
+  // The home node's own loads do not cross the link.
+  EXPECT_TRUE(local->ChecksumRead(0, 8192).ok());
+
+  injector.ClearFault(*n1, *n0);
+  EXPECT_TRUE(remote->ChecksumRead(0, 8192).ok());
+}
+
 TEST(FabricTest, CountersSplitLocalAndRemote) {
   Fabric fabric(FastConfig());
   auto n0 = fabric.AddNode("n0", 1 << 16);
@@ -226,6 +300,44 @@ TEST(NodeMemoryTest, ShareFdGivesSamePages) {
   auto view = net::MemfdSegment::Map(std::move(fd).value(), 4096);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->data()[9], 0x77);
+}
+
+// ChecksumRead on the home node goes through the same cache model as
+// Read, so it sees the Fig. 3b stale line too: its CRC is that of the
+// bytes Read returns, not of memory.
+TEST(FabricCoherencyTest, ChecksumReadSeesTheStaleHomeCacheLikeRead) {
+  FabricConfig config;
+  config.local = LatencyParams{0, 0.0};
+  config.remote = LatencyParams{0, 0.0};
+  config.model_home_cache = true;
+  Fabric fabric(config);
+  auto n0 = fabric.AddNode("home", 1 << 16);
+  auto n1 = fabric.AddNode("writer", 1 << 16);
+  ASSERT_TRUE(n0.ok() && n1.ok());
+  auto region = fabric.ExportRegion(*n0, 0, 1 << 16);
+  ASSERT_TRUE(region.ok());
+  auto home = fabric.Attach(*n0, *region);
+  auto writer = fabric.Attach(*n1, *region);
+  ASSERT_TRUE(home.ok() && writer.ok());
+
+  // A range that crosses 4 KiB boundaries at an odd offset.
+  constexpr uint64_t kOffset = 3001, kSize = 9000;
+  std::vector<uint8_t> old_bytes(kSize), new_bytes(kSize);
+  SplitMix64(21).Fill(old_bytes.data(), kSize);
+  SplitMix64(22).Fill(new_bytes.data(), kSize);
+  ASSERT_TRUE(home->Write(kOffset, old_bytes.data(), kSize).ok());
+  std::vector<uint8_t> seen(kSize);
+  ASSERT_TRUE(home->Read(kOffset, seen.data(), kSize).ok());  // cached
+  ASSERT_TRUE(writer->Write(kOffset, new_bytes.data(), kSize).ok());
+
+  ASSERT_TRUE(home->Read(kOffset, seen.data(), kSize).ok());
+  ASSERT_EQ(seen, old_bytes) << "the home cache should still be stale";
+  auto home_crc = home->ChecksumRead(kOffset, kSize, /*chunk=*/5000);
+  ASSERT_TRUE(home_crc.ok());
+  EXPECT_EQ(*home_crc, Crc32(old_bytes.data(), kSize));
+  auto writer_crc = writer->ChecksumRead(kOffset, kSize);
+  ASSERT_TRUE(writer_crc.ok());
+  EXPECT_EQ(*writer_crc, Crc32(new_bytes.data(), kSize));
 }
 
 }  // namespace

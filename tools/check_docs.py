@@ -26,9 +26,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 # A `bench_<name>` binary reference. The bare `bench_` prefix and
-# `bench_*` globs are not references to one binary, and `.bench_build`
-# is the perfbench build directory.
-BENCH_REF_RE = re.compile(r"(?<![\w.-])(bench_\w+)(?![\w*])")
+# `bench_*` globs are not references to one binary, `.bench_build` is
+# the perfbench build directory, and `bench_<name>.py` is a script.
+BENCH_REF_RE = re.compile(r"(?<![\w.-])(bench_\w+)(?![\w*]|\.py)")
 
 # Generated retrieval artifacts (paper extraction, snippet corpus):
 # their image/figure references were never part of this repo.
