@@ -460,11 +460,14 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
                                        /*pinned=*/true, /*fallback=*/true,
                                        Deadline::Infinite())
                             .Take());
-  // The caller's one Release now belongs to the fresh ref, which the
-  // store holds, so the stale descriptor's mapped ref is retired here.
-  // Sending a Release instead would drop the pin just taken. This holds
-  // on the error path below too.
-  ConsumeMappedRef(stale.id_);
+  // One Release retires the stale reference, leaving exactly the new pin
+  // for the caller's eventual Release. While this client still holds the
+  // mapped ref it is settled locally and nothing is sent; once it is gone
+  // (another buffer for the same id fell back first, or the caller
+  // already released it) the Release drops this refetch's surplus pin at
+  // the store. This holds on the error path below too.
+  MDOS_WARN_IF_ERROR(ReleaseAsync(stale.id_).Take(),
+                     "retiring stale mapped reference during refetch");
   if (fresh.data_size_ != stale.data_size_ ||
       fresh.metadata_size_ != stale.metadata_size_) {
     // The id was re-created with a different shape; offsets the caller
@@ -495,17 +498,16 @@ void AsyncClient::CountMappedRefs(std::span<const ObjectBuffer> buffers) {
   for (const ObjectId& id : ids) ++mapped_refs_[id];
 }
 
-bool AsyncClient::ConsumeMappedRef(const ObjectId& id) {
-  MutexLock lock(mapped_mutex_);
-  auto it = mapped_refs_.find(id);
-  if (it == mapped_refs_.end()) return false;
-  if (--it->second == 0) mapped_refs_.erase(it);
-  return true;
-}
-
 Future<Status> AsyncClient::ReleaseAsync(const ObjectId& id,
                                          Deadline deadline) {
-  if (ConsumeMappedRef(id)) return MakeReadyFuture(Status::OK());
+  {
+    MutexLock lock(mapped_mutex_);
+    auto it = mapped_refs_.find(id);
+    if (it != mapped_refs_.end()) {
+      if (--it->second == 0) mapped_refs_.erase(it);
+      return MakeReadyFuture(Status::OK());
+    }
+  }
   ReleaseRequest request;
   request.id = id;
   return Dispatch<ReleaseReply>(

@@ -175,10 +175,9 @@ class AsyncClient {
                                               bool pinned, bool fallback,
                                               Deadline deadline);
   // Called by a mapped ObjectBuffer whose generation check failed:
-  // fetches a pinned replacement, retires the stale mapped reference
-  // locally, and rebinds the buffer's backing in place. Blocking
-  // (round-trips on this connection); must not run on the reply-dispatch
-  // thread.
+  // fetches a pinned replacement, retires the stale mapped reference,
+  // and rebinds the buffer's backing in place. Blocking (round-trips on
+  // this connection); must not run on the reply-dispatch thread.
   Status RefetchMapped(const ObjectBuffer& stale);
 
   // Counts one mapped reference per distinct id among the mapped
@@ -186,8 +185,6 @@ class AsyncClient {
   // id of a Get.
   void CountMappedRefs(std::span<const ObjectBuffer> buffers)
       EXCLUDES(mapped_mutex_);
-  // Consumes one mapped reference on `id`; false when none is held.
-  bool ConsumeMappedRef(const ObjectId& id) EXCLUDES(mapped_mutex_);
 
   net::UniqueFd fd_;
   ClientOptions options_;

@@ -258,5 +258,54 @@ TEST(MappedReadTest, ReleaseAfterFallbackDropsTheFallbackPin) {
   std::filesystem::remove_all(options.spill_dir);
 }
 
+// Two buffers from one Get share one mapped ref. When both fall back,
+// each refetch takes a pin; the first retires the shared mapped ref in
+// the client, so the second must drop its surplus pin at the store, and
+// the caller's one Release then leaves the home holding nothing.
+TEST(MappedReadTest, DuplicateIdFallbackLeavesNoPinAfterRelease) {
+  NodeOptions options = MappedNode();
+  options.pool_size = 2 << 20;  // two 1 MiB slots per home store
+  options.spill_dir = testutil::ScratchDir("mapped-duplicate-fallback");
+  auto cluster = Cluster::CreateTwoNode(options, FastFabric());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto producer = (*cluster)->node(0)->CreateClient("producer");
+  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
+  ASSERT_TRUE(producer.ok() && consumer.ok());
+
+  const ObjectId id = ObjectId::FromName("mapped-duplicate-spilled");
+  const std::string payload = RandomPayload(8, 1 << 20);
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
+  auto buffers = (*consumer)->Get(std::vector<ObjectId>{id, id},
+                                  /*timeout_ms=*/2000);
+  ASSERT_TRUE(buffers.ok()) << buffers.status();
+  ASSERT_EQ(buffers->size(), 2u);
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE((*producer)
+                    ->CreateAndSeal(testutil::NamedId("duplicate-filler-", i),
+                                    RandomPayload(80 + i, 1 << 20))
+                    .ok());
+  }
+  plasma::Store& home = (*cluster)->node(0)->store();
+  ASSERT_GT(home.stats().spills, 0u);
+
+  for (const plasma::ObjectBuffer& buffer : *buffers) {
+    ASSERT_TRUE(buffer.is_mapped());
+    auto crc = buffer.ChecksumData();
+    ASSERT_TRUE(crc.ok()) << crc.status();
+    EXPECT_EQ(*crc, Crc32(payload));
+    ASSERT_FALSE(buffer.is_mapped()) << "the read should have fallen back";
+  }
+  EXPECT_EQ(home.RemotePins(id), 1u);
+
+  EXPECT_TRUE((*consumer)->Release(id).ok());
+  EXPECT_EQ(home.RemotePins(id), 0u);
+  EXPECT_EQ((*consumer)->Release(id).code(), StatusCode::kKeyError);
+  consumer->reset();
+  producer->reset();
+  cluster->reset();
+  std::filesystem::remove_all(options.spill_dir);
+}
+
 }  // namespace
 }  // namespace mdos::cluster
