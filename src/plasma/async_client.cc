@@ -2,8 +2,6 @@
 
 #include <sys/socket.h>
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -107,10 +105,6 @@ Status AsyncClient::Disconnect() {
   if (reader_.joinable()) reader_.join();
   // Belt and braces: if the reader never ran, fail stragglers here.
   FailAllPending(Status::NotConnected("client disconnected"));
-  {
-    MutexLock lock(mapped_mutex_);
-    mapped_refs_.clear();
-  }
   {
     // Senders read fd_ only under send_mutex_, so closing it here cannot
     // race a write onto a recycled descriptor.
@@ -411,7 +405,6 @@ Future<Result<std::vector<ObjectBuffer>>> AsyncClient::GetAsync(
         for (const GetReplyEntry& entry : reply.entries) {
           buffers.push_back(MakeBuffer(entry, /*writable=*/false));
         }
-        CountMappedRefs(buffers);
         return buffers;
       });
 }
@@ -446,7 +439,6 @@ Future<Result<ObjectBuffer>> AsyncClient::GetOneInternal(const ObjectId& id,
         if (!buffer.valid()) {
           return Status::KeyError("object " + id.Hex() + " not found");
         }
-        CountMappedRefs({&buffer, 1});
         return buffer;
       });
 }
@@ -460,12 +452,9 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
                                        /*pinned=*/true, /*fallback=*/true,
                                        Deadline::Infinite())
                             .Take());
-  // One Release retires the stale reference, leaving exactly the new pin
-  // for the caller's eventual Release. While this client still holds the
-  // mapped ref it is settled locally and nothing is sent; once it is gone
-  // (another buffer for the same id fell back first, or the caller
-  // already released it) the Release drops this refetch's surplus pin at
-  // the store. This holds on the error path below too.
+  // One Release retires the dead mapped reference — the store consumes
+  // mapped refs before pinned ones — leaving exactly the new pin for the
+  // caller's eventual Release. This holds on the error path below too.
   MDOS_WARN_IF_ERROR(ReleaseAsync(stale.id_).Take(),
                      "retiring stale mapped reference during refetch");
   if (fresh.data_size_ != stale.data_size_ ||
@@ -486,28 +475,8 @@ Status AsyncClient::RefetchMapped(const ObjectBuffer& stale) {
   return Status::OK();
 }
 
-void AsyncClient::CountMappedRefs(std::span<const ObjectBuffer> buffers) {
-  std::vector<ObjectId> ids;
-  for (const ObjectBuffer& buffer : buffers) {
-    if (buffer.is_mapped()) ids.push_back(buffer.id());
-  }
-  if (ids.empty()) return;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  MutexLock lock(mapped_mutex_);
-  for (const ObjectId& id : ids) ++mapped_refs_[id];
-}
-
 Future<Status> AsyncClient::ReleaseAsync(const ObjectId& id,
                                          Deadline deadline) {
-  {
-    MutexLock lock(mapped_mutex_);
-    auto it = mapped_refs_.find(id);
-    if (it != mapped_refs_.end()) {
-      if (--it->second == 0) mapped_refs_.erase(it);
-      return MakeReadyFuture(Status::OK());
-    }
-  }
   ReleaseRequest request;
   request.id = id;
   return Dispatch<ReleaseReply>(

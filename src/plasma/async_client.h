@@ -101,10 +101,6 @@ class AsyncClient {
                                         bool pinned = false,
                                         Deadline deadline = {});
 
-  // Drops one Get reference on the object. A mapped buffer's reference
-  // lives only in this client (no store holds anything for it), so its
-  // Release completes at once, whatever the deadline, and sends nothing.
-  // Every other Release goes to the store.
   Future<Status> ReleaseAsync(const ObjectId& id, Deadline deadline = {});
   Future<Result<bool>> ContainsAsync(const ObjectId& id,
                                      Deadline deadline = {});
@@ -180,12 +176,6 @@ class AsyncClient {
   // this connection); must not run on the reply-dispatch thread.
   Status RefetchMapped(const ObjectBuffer& stale);
 
-  // Counts one mapped reference per distinct id among the mapped
-  // `buffers` of one Get reply, as a store counts one ref per distinct
-  // id of a Get.
-  void CountMappedRefs(std::span<const ObjectBuffer> buffers)
-      EXCLUDES(mapped_mutex_);
-
   net::UniqueFd fd_;
   ClientOptions options_;
   uint32_t node_id_ = 0;
@@ -210,11 +200,6 @@ class AsyncClient {
   // Handed to every mapped buffer; Disconnect nulls the back-pointer so
   // outstanding buffers fail cleanly instead of dangling into us.
   std::shared_ptr<ObjectBuffer::RefetchContext> refetch_;
-  // Mapped buffers handed out and not yet released: id -> refs. They
-  // belong to the connection, so Disconnect forgets them.
-  Mutex mapped_mutex_;
-  std::unordered_map<ObjectId, uint32_t> mapped_refs_
-      GUARDED_BY(mapped_mutex_);
 
   // Send queue: writes are serialized; the kernel socket buffer carries
   // the queued frames to the store back-to-back. fd_ is closed only with

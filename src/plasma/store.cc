@@ -667,8 +667,7 @@ void Store::DropClient(Shard& shard, int fd) {
   }
   std::vector<std::pair<ObjectId, RemoteObjectLocation>> remote_unpins;
   for (const auto& [id, ref] : conn->remote_refs) {
-    // Every recorded remote ref is a pin (mapped descriptors are not
-    // recorded): each owes its home store one unpin.
+    // Mapped refs owe the home store nothing; only pinned refs unpin.
     for (uint32_t i = 0; i < ref.pinned; ++i) {
       remote_unpins.emplace_back(id, ref.loc);
     }
@@ -1401,8 +1400,9 @@ void Store::AdoptLocation(Shard& home, ClientConn& conn, PendingGet& pending,
                           const RemoteObjectLocation& loc, bool mapped,
                           bool count_hit) {
   if (mapped) {
-    // The descriptor holds nothing here or at its home; the client
-    // releases it without telling the store.
+    auto& ref = conn.remote_refs[id];
+    ref.loc = loc;
+    ++ref.mapped;
     home.mapped_reads.fetch_add(1, std::memory_order_relaxed);
     home.mapped_bytes.fetch_add(loc.data_size + loc.metadata_size,
                                 std::memory_order_relaxed);
@@ -1636,8 +1636,18 @@ void Store::HandleRelease(Shard& home, ClientConn& conn,
   } else {
     auto remote_it = conn.remote_refs.find(request->id);
     if (remote_it != conn.remote_refs.end()) {
-      remote_unpin = remote_it->second.loc;
-      if (--remote_it->second.pinned == 0) {
+      auto& ref = remote_it->second;
+      if (ref.mapped > 0) {
+        // Mapped descriptors hold no pin at the home store; nothing to
+        // send. Consumed before pinned refs so a client's transparent
+        // fallback (old mapped ref + fresh pinned ref on the same id)
+        // retires the descriptor and keeps the pin it still needs.
+        --ref.mapped;
+      } else if (ref.pinned > 0) {
+        --ref.pinned;
+        remote_unpin = ref.loc;
+      }
+      if (ref.mapped == 0 && ref.pinned == 0) {
         conn.remote_refs.erase(remote_it);
       }
     } else {

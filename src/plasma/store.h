@@ -410,13 +410,16 @@ class Store {
     // Pins of local objects held through this connection: id -> count.
     // (The pinned ids may be owned by any shard.)
     std::unordered_map<ObjectId, uint32_t> local_pins;
-    // One remote object pinned through this connection: each ref was
-    // adopted through the RPC+pin path and owes the home store one
-    // UnpinRemote. Mapped descriptors hold nothing at any store and are
-    // not recorded; the client releases them itself.
+    // One remote object handed out through this connection. Pinned refs
+    // were adopted through the RPC+pin path and owe the home store one
+    // UnpinRemote each; mapped refs are unpinned descriptors (the mapped
+    // data plane) and owe nothing. Release consumes mapped refs first so
+    // a client's transparent fallback (mapped ref still open, pinned ref
+    // just adopted) retires the descriptor and keeps the pin.
     struct RemoteRef {
       RemoteObjectLocation loc;
       uint32_t pinned = 0;
+      uint32_t mapped = 0;
     };
     std::unordered_map<ObjectId, RemoteRef> remote_refs;
   };
@@ -689,7 +692,7 @@ class Store {
   void FinishExpiredGets(Shard& shard, std::vector<PendingGet> expired,
                          const ResolvedMap& resolved);
   // Applies one resolved remote location to a waiting get (reply entry,
-  // remote pin or mapped descriptor, and the connection's ref on a pin).
+  // remote pin or mapped descriptor, per-connection ref bookkeeping).
   // `home` is the Get-serving shard (mapped-read counters accumulate
   // there). `count_hit` must match whether the look-up that produced
   // `loc` was counted in stats. With the mapped data plane on and a
@@ -701,8 +704,7 @@ class Store {
   void AdoptRemote(Shard& home, const Resolution& res, const ObjectId& id,
                    const RemoteObjectLocation& loc, bool count_hit,
                    bool may_retry);
-  // Puts an adopted remote object in the reply; a pinned one is also
-  // recorded in the connection, which owes its home the unpin.
+  // Records an adopted remote object in the connection and the reply.
   void AdoptLocation(Shard& home, ClientConn& conn, PendingGet& pending,
                      const ObjectId& id, const RemoteObjectLocation& loc,
                      bool mapped, bool count_hit);

@@ -5,8 +5,8 @@
 // ladder when the check fails. The eviction and spill races live next
 // to their tiers (eviction_test.cpp, spill_tier_test.cpp); this file
 // covers the happy path, the counters, the pinned bypass, deletion,
-// home-store restart (epoch) invalidation, and the client-side Release
-// of mapped refs.
+// home-store restart (epoch) invalidation, and the Release of mapped
+// refs, before and after a fallback.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -163,32 +163,9 @@ TEST(MappedReadTest, RestartedHomeStoreFailsEpochCheck) {
   ASSERT_TRUE((*consumer)->Release(id).ok());
 }
 
-// A mapped descriptor holds nothing at any store, so its Release is
-// settled in the client: no frame reaches the consumer's store, and a
-// second Release of the same id finds nothing held there.
-TEST(MappedReadTest, ReleaseOfMappedBufferStaysInTheClient) {
-  auto cluster = Cluster::CreateTwoNode(MappedNode(), FastFabric());
-  ASSERT_TRUE(cluster.ok()) << cluster.status();
-  auto producer = (*cluster)->node(0)->CreateClient("producer");
-  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-
-  const ObjectId id = ObjectId::FromName("mapped-release");
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, RandomPayload(5, 4096)).ok());
-  auto buffer = (*consumer)->Get(id, /*timeout_ms=*/2000);
-  ASSERT_TRUE(buffer.ok()) << buffer.status();
-  ASSERT_TRUE(buffer->is_mapped());
-
-  plasma::Store& store = (*cluster)->node(1)->store();
-  const uint64_t frames_before = store.stats().frames_tx;
-  EXPECT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(store.stats().frames_tx, frames_before)
-      << "a mapped Release must not round-trip to the store";
-  EXPECT_EQ((*consumer)->Release(id).code(), StatusCode::kKeyError);
-}
-
 // A Get that names one id twice holds one reference on it, as the store
-// counts one ref per distinct id: one Release succeeds, the next fails.
+// records one mapped ref per distinct id: one Release succeeds, the
+// next finds nothing held and fails.
 TEST(MappedReadTest, DuplicateIdInOneGetYieldsOneRef) {
   auto cluster = Cluster::CreateTwoNode(MappedNode(), FastFabric());
   ASSERT_TRUE(cluster.ok()) << cluster.status();
@@ -214,97 +191,57 @@ TEST(MappedReadTest, DuplicateIdInOneGetYieldsOneRef) {
 }
 
 // After a fallback the buffer is pinned at its home, and the stale
-// descriptor's ref was retired in the client. The caller's one Release
-// must therefore drop the pin the fallback took, not leak it.
+// descriptor's ref is retired. The caller's one Release must therefore
+// drop the pin the fallback took, not leak it. A Get that names the id
+// twice hands out two buffers on one mapped ref: both fall back and pin,
+// so the second refetch must drop its surplus pin itself.
 TEST(MappedReadTest, ReleaseAfterFallbackDropsTheFallbackPin) {
-  NodeOptions options = MappedNode();
-  options.pool_size = 2 << 20;  // two 1 MiB slots per home store
-  options.spill_dir = testutil::ScratchDir("mapped-release-fallback");
-  auto cluster = Cluster::CreateTwoNode(options, FastFabric());
-  ASSERT_TRUE(cluster.ok()) << cluster.status();
-  auto producer = (*cluster)->node(0)->CreateClient("producer");
-  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
-  ASSERT_TRUE(producer.ok() && consumer.ok());
+  for (size_t copies : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(copies) + " copies of the id in one Get");
+    NodeOptions options = MappedNode();
+    options.pool_size = 2 << 20;  // two 1 MiB slots per home store
+    options.spill_dir = testutil::ScratchDir("mapped-release-fallback");
+    auto cluster = Cluster::CreateTwoNode(options, FastFabric());
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    auto producer = (*cluster)->node(0)->CreateClient("producer");
+    auto consumer = (*cluster)->node(1)->CreateClient("consumer");
+    ASSERT_TRUE(producer.ok() && consumer.ok());
 
-  const ObjectId id = ObjectId::FromName("mapped-release-spilled");
-  const std::string payload = RandomPayload(7, 1 << 20);
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
-  auto buffer = (*consumer)->Get(id, /*timeout_ms=*/2000);
-  ASSERT_TRUE(buffer.ok()) << buffer.status();
-  ASSERT_TRUE(buffer->is_mapped());
+    const ObjectId id = ObjectId::FromName("mapped-release-spilled");
+    const std::string payload = RandomPayload(7, 1 << 20);
+    ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
+    auto buffers = (*consumer)->Get(std::vector<ObjectId>(copies, id),
+                                    /*timeout_ms=*/2000);
+    ASSERT_TRUE(buffers.ok()) << buffers.status();
+    ASSERT_EQ(buffers->size(), copies);
 
-  // Two fillers push the unpinned object out to the home's spill file.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE((*producer)
-                    ->CreateAndSeal(testutil::NamedId("release-filler-", i),
-                                    RandomPayload(70 + i, 1 << 20))
-                    .ok());
+    // Two fillers push the unpinned object out to the home's spill file.
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE((*producer)
+                      ->CreateAndSeal(testutil::NamedId("release-filler-", i),
+                                      RandomPayload(70 + i, 1 << 20))
+                      .ok());
+    }
+    plasma::Store& home = (*cluster)->node(0)->store();
+    ASSERT_GT(home.stats().spills, 0u);
+
+    for (const plasma::ObjectBuffer& buffer : *buffers) {
+      ASSERT_TRUE(buffer.is_mapped());
+      auto crc = buffer.ChecksumData();
+      ASSERT_TRUE(crc.ok()) << crc.status();
+      EXPECT_EQ(*crc, Crc32(payload));
+      ASSERT_FALSE(buffer.is_mapped()) << "the read should have fallen back";
+    }
+    EXPECT_EQ(home.RemotePins(id), 1u);
+
+    EXPECT_TRUE((*consumer)->Release(id).ok());
+    EXPECT_EQ(home.RemotePins(id), 0u);
+    EXPECT_EQ((*consumer)->Release(id).code(), StatusCode::kKeyError);
+    consumer->reset();
+    producer->reset();
+    cluster->reset();
+    std::filesystem::remove_all(options.spill_dir);
   }
-  plasma::Store& home = (*cluster)->node(0)->store();
-  ASSERT_GT(home.stats().spills, 0u);
-
-  auto crc = buffer->ChecksumData();
-  ASSERT_TRUE(crc.ok()) << crc.status();
-  EXPECT_EQ(*crc, Crc32(payload));
-  ASSERT_FALSE(buffer->is_mapped()) << "the read should have fallen back";
-  EXPECT_EQ(home.RemotePins(id), 1u);
-
-  EXPECT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(home.RemotePins(id), 0u);
-  EXPECT_EQ((*consumer)->Release(id).code(), StatusCode::kKeyError);
-  consumer->reset();
-  producer->reset();
-  cluster->reset();
-  std::filesystem::remove_all(options.spill_dir);
-}
-
-// Two buffers from one Get share one mapped ref. When both fall back,
-// each refetch takes a pin; the first retires the shared mapped ref in
-// the client, so the second must drop its surplus pin at the store, and
-// the caller's one Release then leaves the home holding nothing.
-TEST(MappedReadTest, DuplicateIdFallbackLeavesNoPinAfterRelease) {
-  NodeOptions options = MappedNode();
-  options.pool_size = 2 << 20;  // two 1 MiB slots per home store
-  options.spill_dir = testutil::ScratchDir("mapped-duplicate-fallback");
-  auto cluster = Cluster::CreateTwoNode(options, FastFabric());
-  ASSERT_TRUE(cluster.ok()) << cluster.status();
-  auto producer = (*cluster)->node(0)->CreateClient("producer");
-  auto consumer = (*cluster)->node(1)->CreateClient("consumer");
-  ASSERT_TRUE(producer.ok() && consumer.ok());
-
-  const ObjectId id = ObjectId::FromName("mapped-duplicate-spilled");
-  const std::string payload = RandomPayload(8, 1 << 20);
-  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
-  auto buffers = (*consumer)->Get(std::vector<ObjectId>{id, id},
-                                  /*timeout_ms=*/2000);
-  ASSERT_TRUE(buffers.ok()) << buffers.status();
-  ASSERT_EQ(buffers->size(), 2u);
-
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE((*producer)
-                    ->CreateAndSeal(testutil::NamedId("duplicate-filler-", i),
-                                    RandomPayload(80 + i, 1 << 20))
-                    .ok());
-  }
-  plasma::Store& home = (*cluster)->node(0)->store();
-  ASSERT_GT(home.stats().spills, 0u);
-
-  for (const plasma::ObjectBuffer& buffer : *buffers) {
-    ASSERT_TRUE(buffer.is_mapped());
-    auto crc = buffer.ChecksumData();
-    ASSERT_TRUE(crc.ok()) << crc.status();
-    EXPECT_EQ(*crc, Crc32(payload));
-    ASSERT_FALSE(buffer.is_mapped()) << "the read should have fallen back";
-  }
-  EXPECT_EQ(home.RemotePins(id), 1u);
-
-  EXPECT_TRUE((*consumer)->Release(id).ok());
-  EXPECT_EQ(home.RemotePins(id), 0u);
-  EXPECT_EQ((*consumer)->Release(id).code(), StatusCode::kKeyError);
-  consumer->reset();
-  producer->reset();
-  cluster->reset();
-  std::filesystem::remove_all(options.spill_dir);
 }
 
 }  // namespace
