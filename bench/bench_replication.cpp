@@ -4,9 +4,11 @@
 // StoreOptions::replication_factor:
 //
 //   1. What does k-way replication cost on the write path? Every seal
-//      pushes k-1 full-payload Plasma.Replicate RPCs (each paying the
-//      modelled LAN RTT) before the shard processes the next seal, so
-//      the overhead should be roughly linear in (k-1) x payload.
+//      sends k-1 Plasma.Replicate RPCs that carry the object's location
+//      (each paying the modelled LAN RTT), and each target pulls the
+//      payload with one modelled fabric read before the seal acks, so
+//      the overhead should be roughly linear in (k-1) x (RTT + payload
+//      read time).
 //   2. How fast does the cluster heal after a kill? From the moment a
 //      replica holder dies, the suspect->dead window plus the re-heal
 //      driver's push rate bound how long the cluster runs below k.
@@ -201,9 +203,9 @@ int Run() {
 
   std::printf(
       "\nshape target: write overhead linear in (k-1) x payload (each "
-      "extra copy\npays one LAN push per seal); re-heal rate bounded by "
-      "the detection window\nplus one push per lost copy from the "
-      "single elected healer.\n");
+      "extra copy\npays one LAN round trip and one fabric pull per seal); "
+      "re-heal rate bounded\nby the detection window plus one push per "
+      "lost copy from the single elected healer.\n");
   return 0;
 }
 

@@ -1,19 +1,30 @@
-// Fuzz harness: plasma IPC protocol message decoders.
+// Fuzz harness: plasma IPC protocol and store-to-store RPC message
+// decoders.
 //
 // Every message type's DecodeFrom runs against the same arbitrary
 // payload — exactly what a store or client faces when a confused or
 // hostile peer sends a frame whose type tag does not match its body.
-// Decoders must return ProtocolError, never crash or over-allocate.
+// The peer RPC messages (dist/messages.h) decode the same bytes as an
+// RPC payload, which carries no request-id tag. Decoders must return
+// ProtocolError, never crash or over-allocate.
 #include <cstddef>
 #include <cstdint>
 
+#include "dist/messages.h"
 #include "plasma/protocol.h"
+#include "wire/wire.h"
 
 namespace {
 
 template <typename Message>
 void TryDecode(const uint8_t* data, size_t size) {
   (void)mdos::plasma::DecodeMessage<Message>(data, size);
+}
+
+template <typename Message>
+void TryDecodePeer(const uint8_t* data, size_t size) {
+  mdos::wire::Reader r(data, size);
+  (void)Message::DecodeFrom(r);
 }
 
 }  // namespace
@@ -47,5 +58,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   TryDecode<SubscribeRequest>(data, size);
   TryDecode<SubscribeReply>(data, size);
   TryDecode<Notification>(data, size);
+
+  // One request and one reply decoder per peer RPC method; Plasma.Unpin
+  // decodes with Plasma.Pin's (UnpinRequest/UnpinReply are aliases).
+  namespace dist = mdos::dist;
+  TryDecodePeer<dist::HelloRequest>(data, size);
+  TryDecodePeer<dist::HelloReply>(data, size);
+  TryDecodePeer<dist::LookupRequest>(data, size);
+  TryDecodePeer<dist::LookupReply>(data, size);
+  TryDecodePeer<dist::ProbeRequest>(data, size);
+  TryDecodePeer<dist::ProbeReply>(data, size);
+  TryDecodePeer<dist::PinRequest>(data, size);
+  TryDecodePeer<dist::PinReply>(data, size);
+  TryDecodePeer<dist::PingRequest>(data, size);
+  TryDecodePeer<dist::PingReply>(data, size);
+  TryDecodePeer<dist::ReplicateRequest>(data, size);
+  TryDecodePeer<dist::ReplicateReply>(data, size);
+  TryDecodePeer<dist::ReplicaDropRequest>(data, size);
+  TryDecodePeer<dist::ReplicaDropReply>(data, size);
   return 0;
 }

@@ -22,6 +22,7 @@
 
 #include "common/crc32.h"
 #include "common/object_id.h"
+#include "dist/messages.h"
 #include "net/frame.h"
 #include "plasma/protocol.h"
 #include "plasma/spill_file.h"
@@ -75,6 +76,14 @@ std::vector<uint8_t> ValidFrame(uint32_t type,
   return BuildFrame(mdos::net::kFrameMagic, type,
                     static_cast<uint32_t>(payload.size()),
                     mdos::Crc32(payload.data(), payload.size()), payload);
+}
+
+// A peer RPC payload: the bare message, no request-id tag.
+template <typename Message>
+std::vector<uint8_t> EncodePeer(const Message& msg) {
+  mdos::wire::Writer w;
+  msg.EncodeTo(w);
+  return std::vector<uint8_t>(w.data(), w.data() + w.size());
 }
 
 template <typename Message>
@@ -200,6 +209,34 @@ void MakeProtocolSeeds(const std::string& root) {
   auto tag_only = EncodeTagged(9, ListRequest{});
   tag_only.resize(8);
   WriteSeed(dir, "tag_header_only", tag_only);
+
+  // Peer RPC payloads (dist/messages.h), decoded by the same harness.
+  mdos::dist::LookupRequest lookup;
+  lookup.ids = {ObjectId::FromName("a"), ObjectId::FromName("b")};
+  WriteSeed(dir, "peer_lookup_request", EncodePeer(lookup));
+
+  mdos::dist::LookupReply located;
+  mdos::dist::LookupEntry hit;
+  hit.id = ObjectId::FromName("a");
+  hit.found = true;
+  hit.location.home_node = 1;
+  hit.location.offset = 4096;
+  hit.location.data_size = 64;
+  located.entries.push_back(hit);
+  WriteSeed(dir, "peer_lookup_reply", EncodePeer(located));
+
+  mdos::dist::ReplicateRequest replicate;
+  replicate.id = ObjectId::FromName("seed-replica");
+  replicate.from_node = 0;
+  replicate.origin_node = 0;
+  replicate.desired_copies = 2;
+  replicate.copy_nodes = {0, 1};
+  replicate.region = 0;
+  replicate.offset = 8192;
+  replicate.data_size = 16384;
+  replicate.metadata_size = 16;
+  replicate.crc = 0x2144df1c;
+  WriteSeed(dir, "peer_replicate_request", EncodePeer(replicate));
 }
 
 void MakeSpillSeeds(const std::string& root) {

@@ -87,7 +87,6 @@ Status Node::BuildStack() {
   store_options.spill_dir = options_.spill_dir;
   store_options.check_global_uniqueness = options_.check_global_uniqueness;
   store_options.pin_remote_objects = options_.pin_remote_objects;
-  store_options.mapped_remote_reads = options_.mapped_remote_reads;
   store_options.replication_factor = options_.replication_factor;
   MDOS_ASSIGN_OR_RETURN(
       store_, plasma::Store::CreateOnFabric(store_options, fabric_,

@@ -49,9 +49,10 @@ struct NodeOptions {
   bool enable_shared_index = false;
   uint64_t shared_index_bytes = 1 << 20;  // ~16k slots
   // Mapped data plane (zero-RPC remote reads): export a generation table
-  // next to the pool, serve remote Gets as generation-stamped
-  // descriptors, and let clients copy through their own fabric mapping
-  // with a seqlock-style re-check (plasma/generation_table.h).
+  // next to the pool and hand it to the store (Store::SetGenerationTable),
+  // which then serves remote Gets as generation-stamped descriptors;
+  // clients copy through their own fabric mapping with a seqlock-style
+  // re-check (plasma/generation_table.h).
   bool mapped_remote_reads = false;
   uint64_t generation_table_bytes = 1 << 16;  // ~8k slots
   // k-way replication (StoreOptions::replication_factor): every sealed

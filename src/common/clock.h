@@ -15,8 +15,6 @@ inline int64_t MonotonicNanos() {
       .count();
 }
 
-inline int64_t MonotonicMicros() { return MonotonicNanos() / 1000; }
-
 // Busy-waits until `deadline_ns` (monotonic). Short waits spin to keep the
 // latency model accurate at sub-microsecond granularity; waits longer than
 // ~100 µs first sleep to avoid burning a core in long benchmarks.

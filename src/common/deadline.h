@@ -28,8 +28,6 @@ class Deadline {
     return Deadline(MonotonicNanos() + ms * 1'000'000);
   }
 
-  static Deadline AtNanos(int64_t when_ns) { return Deadline(when_ns); }
-
   bool infinite() const { return when_ns_ == kInfinite; }
 
   bool expired() const {

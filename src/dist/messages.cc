@@ -173,9 +173,11 @@ void ReplicateRequest::EncodeTo(wire::Writer& w) const {
   w.PutRepeated(copy_nodes, [](wire::Writer& w2, uint32_t node) {
     w2.PutU32(node);
   });
+  w.PutU32(region);
+  w.PutU64(offset);
   w.PutU64(data_size);
   w.PutU64(metadata_size);
-  w.PutBytes(payload);
+  w.PutU32(crc);
 }
 Result<ReplicateRequest> ReplicateRequest::DecodeFrom(wire::Reader& r) {
   ReplicateRequest m;
@@ -185,13 +187,11 @@ Result<ReplicateRequest> ReplicateRequest::DecodeFrom(wire::Reader& r) {
   MDOS_ASSIGN_OR_RETURN(m.desired_copies, r.GetU32());
   MDOS_ASSIGN_OR_RETURN(m.copy_nodes, (r.GetRepeated<uint32_t>(
       [](wire::Reader& r2) { return r2.GetU32(); })));
+  MDOS_ASSIGN_OR_RETURN(m.region, r.GetU32());
+  MDOS_ASSIGN_OR_RETURN(m.offset, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.data_size, r.GetU64());
   MDOS_ASSIGN_OR_RETURN(m.metadata_size, r.GetU64());
-  MDOS_ASSIGN_OR_RETURN(auto payload, r.GetBytes());
-  if (payload.size() != m.data_size + m.metadata_size) {
-    return Status::ProtocolError("replicate: payload size mismatch");
-  }
-  m.payload.assign(payload.begin(), payload.end());
+  MDOS_ASSIGN_OR_RETURN(m.crc, r.GetU32());
   return m;
 }
 

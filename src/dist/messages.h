@@ -9,7 +9,8 @@
 //   Plasma.Probe        — id-uniqueness probe (sees unsealed objects too)
 //   Plasma.Pin/Unpin    — distributed usage tracking (remote pins)
 //   Plasma.Ping         — liveness heartbeat driving peer health states
-//   Plasma.Replicate    — push one sealed object's bytes to a replica
+//   Plasma.Replicate    — ask a replica target to pull one sealed object
+//                         out of the sender's pool over the fabric
 //   Plasma.ReplicaDrop  — origin deleted: drop the local replica copy
 #pragma once
 
@@ -148,11 +149,26 @@ struct ReplicateRequest {
   // The full intended copy set (origin + every replica target), so every
   // holder can run the re-heal election without another round trip.
   std::vector<uint32_t> copy_nodes;
+  // Where the bytes are: the sender's pool region and the region-relative
+  // offset of the data section (the metadata section follows it). The
+  // target reads them through its own fabric attachment of that region.
+  uint32_t region = 0;
+  uint64_t offset = 0;
   uint64_t data_size = 0;
   uint64_t metadata_size = 0;
-  // Data section followed by the metadata section (data_size +
-  // metadata_size bytes).
-  std::string payload;
+  // Crc32 of those bytes as the sender sealed them. The target refuses a
+  // copy that does not match: the sender keeps the bytes in place only
+  // until this RPC completes, and a timeout can end it before the pull.
+  uint32_t crc = 0;
+  plasma::RemoteObjectLocation source() const {
+    plasma::RemoteObjectLocation loc;
+    loc.home_node = from_node;
+    loc.home_region = region;
+    loc.offset = offset;
+    loc.data_size = data_size;
+    loc.metadata_size = metadata_size;
+    return loc;
+  }
   void EncodeTo(wire::Writer& w) const;
   static Result<ReplicateRequest> DecodeFrom(wire::Reader& r);
 };

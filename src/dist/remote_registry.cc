@@ -802,40 +802,14 @@ RemoteStoreRegistry::GetRobustnessCounters() {
 }
 
 Future<std::vector<uint32_t>> RemoteStoreRegistry::ReplicateObject(
-    const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
-    uint64_t metadata_size, uint32_t copies_wanted,
+    const ObjectId& id, const plasma::RemoteObjectLocation& source,
+    uint32_t crc, uint32_t copies_wanted,
     const std::vector<uint32_t>& exclude, uint32_t origin,
     uint32_t desired) {
   if (copies_wanted == 0) return MakeReadyFuture(std::vector<uint32_t>{});
   auto push = std::make_shared<ReplicaPush>();
   push->exclude = exclude;
   push->wanted = copies_wanted;
-  ReplicateRequest& request = push->request;
-  request.id = id;
-  request.from_node = self_node_;
-  request.origin_node = origin;
-  request.desired_copies = desired;
-  request.data_size = data_size;
-  request.metadata_size = metadata_size;
-  request.payload.assign(reinterpret_cast<const char*>(bytes),
-                         data_size + metadata_size);
-  Future<std::vector<uint32_t>> accepted = push->done.GetFuture();
-  bool start_now = false;
-  {
-    MutexLock lock(mutex_);
-    start_now = !push_active_;
-    if (start_now) {
-      push_active_ = true;
-    } else {
-      queued_pushes_.push_back(push);
-    }
-  }
-  if (start_now) StartPush(push);
-  return accepted;
-}
-
-void RemoteStoreRegistry::StartPush(const std::shared_ptr<ReplicaPush>& push) {
-  const std::vector<uint32_t>& exclude = push->exclude;
   push->candidates = SnapshotRankedPeers();
   push->candidates.erase(
       std::remove_if(push->candidates.begin(), push->candidates.end(),
@@ -844,29 +818,26 @@ void RemoteStoreRegistry::StartPush(const std::shared_ptr<ReplicaPush>& push) {
                                         peer->node_id) != exclude.end();
                      }),
       push->candidates.end());
+  ReplicateRequest& request = push->request;
+  request.id = id;
+  request.from_node = self_node_;
+  request.origin_node = origin;
+  request.desired_copies = desired;
+  request.region = source.home_region;
+  request.offset = source.offset;
+  request.data_size = source.data_size;
+  request.metadata_size = source.metadata_size;
+  request.crc = crc;
+  Future<std::vector<uint32_t>> accepted = push->done.GetFuture();
   PushNextReplica(push);
-}
-
-void RemoteStoreRegistry::FinishPush(const std::shared_ptr<ReplicaPush>& push) {
-  std::shared_ptr<ReplicaPush> next;
-  {
-    MutexLock lock(mutex_);
-    if (queued_pushes_.empty()) {
-      push_active_ = false;
-    } else {
-      next = std::move(queued_pushes_.front());
-      queued_pushes_.pop_front();
-    }
-  }
-  push->done.Set(push->accepted);
-  if (next != nullptr) StartPush(next);
+  return accepted;
 }
 
 void RemoteStoreRegistry::PushNextReplica(
     const std::shared_ptr<ReplicaPush>& push) {
   if (push->accepted.size() >= push->wanted ||
       push->next >= push->candidates.size()) {
-    FinishPush(push);
+    push->done.Set(push->accepted);
     return;
   }
   std::shared_ptr<Peer> peer = push->candidates[push->next++];
@@ -895,7 +866,8 @@ void RemoteStoreRegistry::PushNextReplica(
           push->accepted.push_back(peer->node_id);
         }
         // Application-level rejections (the id is mid-create there, the
-        // peer is out of memory) just move on to the next candidate.
+        // peer is out of memory, its pull failed) just move on to the
+        // next candidate.
         PushNextReplica(push);
       });
 }

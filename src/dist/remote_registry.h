@@ -44,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -205,13 +204,14 @@ class RemoteStoreRegistry : public plasma::DistHooks {
                            const plasma::RemoteObjectLocation& loc) {
     return PinRemote(id, loc, Deadline::Infinite());
   }
-  // Replication fan-out: pushes the bytes to up to `copies_wanted` live
-  // peers not in `exclude`, one at a time in preference order (healthy
-  // peers with the lowest observed RPC latency, EWMA, first), until
-  // enough accepted. Completes with the acceptors' node ids.
+  // Replication fan-out: asks up to `copies_wanted` live peers not in
+  // `exclude` to pull the object from `source` and check it against
+  // `crc`, one at a time in preference order (healthy peers with the
+  // lowest observed RPC latency, EWMA, first), until enough accepted.
+  // Completes with the acceptors' node ids.
   Future<std::vector<uint32_t>> ReplicateObject(
-      const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
-      uint64_t metadata_size, uint32_t copies_wanted,
+      const ObjectId& id, const plasma::RemoteObjectLocation& source,
+      uint32_t crc, uint32_t copies_wanted,
       const std::vector<uint32_t>& exclude, uint32_t origin,
       uint32_t desired) override;
   Future<Status> DropReplicas(const ObjectId& id,
@@ -314,15 +314,11 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   void SettleLookupWave(const std::shared_ptr<LookupOp>& op);
   void FinishLookup(const std::shared_ptr<LookupOp>& op);
 
-  // Replication pushes run one at a time (each carries a full copy of
-  // its object, as when seals replicated inline): a push ranks its
-  // candidates when it starts, tries them in order (PushNextReplica),
-  // and on finishing hands the turn to the next queued push.
+  // A replication push ranks its candidates when it starts and asks
+  // them in order (PushNextReplica) until enough accepted. A push
+  // carries only the object's location, so pushes run concurrently.
   struct ReplicaPush;
-  void StartPush(const std::shared_ptr<ReplicaPush>& push);
   void PushNextReplica(const std::shared_ptr<ReplicaPush>& push);
-  void FinishPush(const std::shared_ptr<ReplicaPush>& push)
-      EXCLUDES(mutex_);
 
   // Death bookkeeping, run outside the mutex.
   void HandlePeerDeath(uint32_t node_id);
@@ -345,9 +341,6 @@ class RemoteStoreRegistry : public plasma::DistHooks {
   mutable Mutex mutex_;
   std::vector<std::shared_ptr<Peer>> peers_ GUARDED_BY(mutex_);
   RegistryStats stats_ GUARDED_BY(mutex_);
-  // The replication push in flight and those waiting their turn.
-  bool push_active_ GUARDED_BY(mutex_) = false;
-  std::deque<std::shared_ptr<ReplicaPush>> queued_pushes_ GUARDED_BY(mutex_);
 
   // Heartbeat thread state. heartbeat_mutex_ is a leaf lock: never
   // taken with mutex_ held.

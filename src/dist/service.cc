@@ -118,12 +118,13 @@ void StoreService::RegisterWith(rpc::RpcServer& server) {
           -> Result<std::vector<uint8_t>> {
         MDOS_ASSIGN_OR_RETURN(ReplicateRequest request,
                               DecodeRequest<ReplicateRequest>(payload));
+        // The pull runs here, on the serve thread: it stalls this thread
+        // for the modelled fabric read and any injected link delay, as
+        // every fabric load stalls the thread that issues it.
         ReplicateReply reply;
         reply.status = store->AcceptReplica(
-            request.id, request.from_node, request.origin_node,
-            request.desired_copies, request.copy_nodes,
-            reinterpret_cast<const uint8_t*>(request.payload.data()),
-            request.data_size, request.metadata_size);
+            request.id, request.source(), request.crc, request.origin_node,
+            request.desired_copies, request.copy_nodes);
         return EncodeReply(reply);
       });
 

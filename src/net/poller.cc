@@ -1,48 +1,42 @@
 #include "net/poller.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/log.h"
 
 namespace mdos::net {
 
-namespace {
-
-bool ForcePollBackend() {
-  const char* force = std::getenv("MDOS_FORCE_POLL");
-  return force != nullptr && force[0] == '1';
-}
-
-}  // namespace
-
 Poller::Poller() {
   int pipefd[2];
   // Non-blocking on both ends: the drain loop below must not hang, and a
   // full pipe must not block Wakeup callers.
-  if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) == 0) {
-    wake_read_.Reset(pipefd[0]);
-    wake_write_.Reset(pipefd[1]);
+  if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) {
+    init_status_ = Status::FromErrno("pipe2");
+    return;
   }
-  if (!ForcePollBackend()) {
-    epoll_fd_.Reset(::epoll_create1(EPOLL_CLOEXEC));
-    if (epoll_fd_.valid()) {
-      backend_ = Backend::kEpoll;
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = wake_read_.get();
-      ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev);
-    }
+  wake_read_.Reset(pipefd[0]);
+  wake_write_.Reset(pipefd[1]);
+  epoll_fd_.Reset(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_fd_.valid()) {
+    init_status_ = Status::FromErrno("epoll_create1");
+    return;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_read_.get();
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) !=
+      0) {
+    init_status_ = Status::FromErrno("epoll_ctl(wakeup pipe)");
   }
 }
 
 void Poller::EpollUpdate(int fd, bool write_interest, int op) {
+  if (!init_status_.ok()) return;  // Wait reports the failure
   epoll_event ev{};
   // Read stays level-triggered while idle; arming write switches the
   // whole registration edge-triggered (see the header contract: armed
@@ -57,14 +51,12 @@ void Poller::EpollUpdate(int fd, bool write_interest, int op) {
 
 void Poller::Add(int fd) {
   if (!fds_.emplace(fd, false).second) return;  // already registered
-  if (backend_ == Backend::kEpoll) {
-    EpollUpdate(fd, /*write_interest=*/false, EPOLL_CTL_ADD);
-  }
+  EpollUpdate(fd, /*write_interest=*/false, EPOLL_CTL_ADD);
 }
 
 void Poller::Remove(int fd) {
   if (fds_.erase(fd) == 0) return;
-  if (backend_ == Backend::kEpoll) {
+  if (init_status_.ok()) {
     ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
   }
 }
@@ -73,80 +65,40 @@ void Poller::SetWriteInterest(int fd, bool enabled) {
   auto it = fds_.find(fd);
   if (it == fds_.end() || it->second == enabled) return;
   it->second = enabled;
-  if (backend_ == Backend::kEpoll) {
-    // MOD re-arms the readiness scan: a fd that is already writable when
-    // interest is armed delivers its edge immediately.
-    EpollUpdate(fd, enabled, EPOLL_CTL_MOD);
-  }
+  // MOD re-arms the readiness scan: a fd that is already writable when
+  // interest is armed delivers its edge immediately.
+  EpollUpdate(fd, enabled, EPOLL_CTL_MOD);
 }
 
 Result<int> Poller::Wait(
     int timeout_ms,
     const std::function<void(int fd, uint32_t events)>& on_event) {
-  if (backend_ == Backend::kEpoll) {
-    epoll_event events[64];
-    int n = ::epoll_wait(epoll_fd_.get(), events, 64, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return Status::FromErrno("epoll_wait");
-    }
-    int ready = 0;
-    for (int i = 0; i < n; ++i) {
-      int fd = events[i].data.fd;
-      if (fd == wake_read_.get()) {
-        char buf[64];
-        while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      uint32_t mask = 0;
-      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-        mask |= kPollerReadable;
-      }
-      if (events[i].events & (EPOLLOUT | EPOLLERR)) {
-        mask |= kPollerWritable;
-      }
-      if (mask != 0) {
-        ++ready;
-        on_event(fd, mask);
-      }
-    }
-    return ready;
-  }
-
-  // poll(2) fallback: rebuild the pollfd set from the registry.
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds_.size() + 1);
-  pfds.push_back({wake_read_.get(), POLLIN, 0});
-  for (const auto& [fd, write_interest] : fds_) {
-    pfds.push_back(
-        {fd, static_cast<short>(POLLIN | (write_interest ? POLLOUT : 0)),
-         0});
-  }
-  int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  MDOS_RETURN_IF_ERROR(init_status_);
+  epoll_event events[64];
+  int n = ::epoll_wait(epoll_fd_.get(), events, 64, timeout_ms);
   if (n < 0) {
     if (errno == EINTR) return 0;
-    return Status::FromErrno("poll");
-  }
-  if (n == 0) return 0;
-  // Drain wakeup bytes first so repeated Wakeup calls coalesce.
-  if (pfds[0].revents & POLLIN) {
-    char buf[64];
-    while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
-    }
+    return Status::FromErrno("epoll_wait");
   }
   int ready = 0;
-  for (size_t i = 1; i < pfds.size(); ++i) {
+  for (int i = 0; i < n; ++i) {
+    int fd = events[i].data.fd;
+    if (fd == wake_read_.get()) {
+      char buf[64];
+      while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
+      }
+      continue;
+    }
     uint32_t mask = 0;
-    if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
+    if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
       mask |= kPollerReadable;
     }
-    if (pfds[i].revents & (POLLOUT | POLLERR)) {
+    if (events[i].events & (EPOLLOUT | EPOLLERR)) {
       mask |= kPollerWritable;
     }
     if (mask != 0) {
       ++ready;
-      on_event(pfds[i].fd, mask);
+      on_event(fd, mask);
     }
   }
   return ready;

@@ -7,20 +7,14 @@
 // the one thread-safe entry point — other shards use it to signal a
 // posted mailbox task, and Stop uses it for shutdown.
 //
-// Two backends behind one API:
-//
-//   * kEpoll (default on Linux): one epoll instance per Poller. Read
-//     interest is level-triggered; write interest is armed on demand and
-//     edge-triggered (EPOLLET) — a connection with queued egress residue
-//     arms EPOLLOUT, gets exactly one event per writability edge, and
-//     disarms once its queue drains, so an idle-writable socket never
-//     spins the loop. (epoll_ctl MOD re-arms: if the fd is already
-//     writable when interest is armed, the edge fires immediately — no
-//     lost wakeups.)
-//   * kPoll: the original poll(2) sweep, kept as a portable fallback and
-//     selectable with MDOS_FORCE_POLL=1 for testing. Write interest maps
-//     to POLLOUT in the rebuilt pollfd set; because interest is disarmed
-//     as soon as a queue drains, level-triggered POLLOUT does not spin.
+// One epoll instance per Poller. Read interest is level-triggered; write
+// interest is armed on demand and edge-triggered (EPOLLET) — a
+// connection with queued egress residue arms EPOLLOUT, gets exactly one
+// event per writability edge, and disarms once its queue drains, so an
+// idle-writable socket never spins the loop. (epoll_ctl MOD re-arms: if
+// the fd is already writable when interest is armed, the edge fires
+// immediately — no lost wakeups.) A Poller whose epoll instance could
+// not be created reports that from every Wait.
 //
 // Callers that arm write interest must drain reads to EAGAIN (both the
 // store's batch reader and the RPC server do): while a fd is write-armed
@@ -43,8 +37,6 @@ inline constexpr uint32_t kPollerWritable = 2u;
 
 class Poller {
  public:
-  enum class Backend : uint8_t { kEpoll, kPoll };
-
   Poller();
 
   // Registers/unregisters a fd. Registration always includes read
@@ -60,7 +52,8 @@ class Poller {
   // `on_event(fd, events)` for every ready fd, where `events` is a mask
   // of kPollerReadable / kPollerWritable (hang-ups and errors report as
   // readable so the read path observes them). Returns the number of
-  // ready fds, 0 on timeout.
+  // ready fds, 0 on timeout, or the error that left this Poller without
+  // an epoll instance.
   Result<int> Wait(int timeout_ms,
                    const std::function<void(int fd, uint32_t events)>&
                        on_event);
@@ -68,14 +61,13 @@ class Poller {
   // Thread-safe: makes a concurrent/following Wait return immediately.
   void Wakeup();
 
-  Backend backend() const { return backend_; }
-
  private:
   void EpollUpdate(int fd, bool write_interest, int op);
 
-  Backend backend_ = Backend::kPoll;
+  // Why construction failed; Wait returns it.
+  Status init_status_;
   UniqueFd epoll_fd_;
-  // fd -> write interest armed. Also the registry for the poll backend.
+  // fd -> write interest armed.
   std::unordered_map<int, bool> fds_;
   UniqueFd wake_read_;
   UniqueFd wake_write_;

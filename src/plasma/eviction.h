@@ -15,12 +15,12 @@
 //   * This policy tracks recency ONLY. It does not know about pins; the
 //     caller passes an `evictable` predicate to ChooseVictims and the
 //     Store's predicate (IsEvictable) excludes every object that is
-//       - still mapped by a local client (local_refs != 0 — a Get that
-//         has not been Released keeps the buffer mmap'd, so its memory
-//         must not be reused under the reader),
+//       - still referenced locally (local_refs != 0 — a Get that has not
+//         been Released keeps the buffer mmap'd, and a replication push
+//         keeps the bytes in place while its targets pull them, so the
+//         memory must not be reused under the reader), or
 //       - pinned by a remote store (remote_pins, the distributed
-//         usage-tracking extension), or
-//       - flagged by the external pin check (cluster-level tracker).
+//         usage-tracking extension).
 //     An object excluded by the predicate is skipped, not unqueued: it
 //     keeps its LRU position and becomes a candidate again the moment
 //     its last pin drops. eviction_test's EvictWhileMappedIsRefused

@@ -51,7 +51,7 @@ struct ObjectEntry {
   // File offset of the record in the shard's spill file (kSpilled only;
   // `offset` is meaningless while spilled).
   uint64_t spill_offset = 0;
-  uint32_t local_refs = 0;  // pins held by local clients
+  uint32_t local_refs = 0;  // local client pins + replication pushes
   int creator_fd = -1;      // connection that created it (abort cleanup)
   int64_t created_ns = 0;
   int64_t sealed_ns = 0;

@@ -273,8 +273,8 @@ struct StoreStats {
   uint64_t peer_failed_rpcs = 0;   // cumulative failed peer calls
   uint64_t peer_reconnects = 0;    // channel redials that succeeded
   uint64_t peer_heartbeats = 0;    // Plasma.Ping calls sent
-  // Mapped data plane (zero-RPC remote reads; all zero when
-  // StoreOptions::mapped_remote_reads is off).
+  // Mapped data plane (zero-RPC remote reads; all zero unless the store
+  // has a generation table, see Store::SetGenerationTable).
   uint64_t mapped_reads = 0;       // remote Gets served as descriptors
   uint64_t mapped_bytes = 0;       // payload bytes those Gets exposed
   uint64_t mapped_fallbacks = 0;   // client refetches after a mismatch

@@ -15,6 +15,7 @@
 #include "alloc/first_fit_allocator.h"
 #include "alloc/segregated_fit_allocator.h"
 #include "common/clock.h"
+#include "common/crc32.h"
 #include "common/log.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -908,7 +909,6 @@ bool Store::IsEvictable(const Shard& owner, const ObjectId& id) const {
   if (pins != owner.remote_pins.end() && !pins->second.empty()) {
     return false;
   }
-  if (external_pin_check_ && external_pin_check_(id)) return false;
   return true;
 }
 
@@ -1062,7 +1062,9 @@ void Store::HandleSeal(Shard& home, ClientConn& conn, uint64_t request_id,
   FanOutSealed(&home, request->id);
   // Replication last, with no shard mutex held across the pushes. The
   // ack waits for them: a client holding it knows the object has its
-  // copies (each peer installs and seals its replica before answering).
+  // copies (each peer pulls, installs and seals its replica before
+  // answering), and MergeReplicas has dropped the ref that kept the
+  // bytes in place for the pulls.
   auto push = StartReplication(owner, request->id);
   if (!push.has_value()) {
     QueueReply(home, conn, MessageType::kSealReply, request_id, reply);
@@ -1344,7 +1346,7 @@ void Store::AdoptRemote(Shard& home, const Resolution& res,
   // through its cached region attachment and re-checks the generation;
   // a get that forced the pinned rung (fallback, bench baseline) takes
   // the classic path below.
-  const bool mapped = options_.mapped_remote_reads && !res->pending.pinned &&
+  const bool mapped = gen_table_ != nullptr && !res->pending.pinned &&
                       loc.gen_region != UINT32_MAX;
   if (mapped || !options_.pin_remote_objects || dist_hooks_ == nullptr) {
     if (auto conn = LiveConn(home, res->pending.conn)) {
@@ -1838,7 +1840,7 @@ std::vector<std::optional<RemoteObjectLocation>> Store::LookupManyForPeer(
       loc.offset = entry->offset;
       loc.data_size = entry->data_size;
       loc.metadata_size = entry->metadata_size;
-      if (options_.mapped_remote_reads && gen_table_ != nullptr) {
+      if (gen_table_ != nullptr) {
         // Stamp the descriptor with the current generation. Sampled
         // under the owner mutex, so it is consistent with the offset
         // above: any destructive transition after this point bumps the
@@ -1964,9 +1966,7 @@ void MergeCopyNode(std::vector<uint32_t>& nodes, uint32_t node) {
 std::optional<Store::ReplicaPush> Store::StartReplication(
     Shard& owner, const ObjectId& id) {
   if (dist_hooks_ == nullptr) return std::nullopt;
-  std::vector<uint8_t> bytes;
-  uint64_t data_size = 0;
-  uint64_t metadata_size = 0;
+  RemoteObjectLocation source;
   uint32_t desired = 0;
   uint32_t origin = 0;
   std::vector<uint32_t> holders;
@@ -1984,13 +1984,19 @@ std::optional<Store::ReplicaPush> Store::StartReplication(
       entry = restored;
     }
     if (entry->state != ObjectState::kSealed) return std::nullopt;
-    // Snapshot the bytes under the mutex: the pool offset can be rebound
-    // (evict, spill, delete + re-create) the moment the lock drops, and
-    // the dist layer is not called under it.
-    bytes.assign(pool_base_ + entry->offset,
-                 pool_base_ + entry->offset + entry->total_size());
-    data_size = entry->data_size;
-    metadata_size = entry->metadata_size;
+    // The targets read these pool bytes after the lock drops: the ref
+    // keeps eviction, spill and Delete away from them until
+    // MergeReplicas drops it.
+    Status held = owner.table.AddRef(id);
+    if (!held.ok()) {
+      MDOS_LOG_WARN << "replication of " << id.Hex() << " skipped: " << held;
+      return std::nullopt;
+    }
+    source.home_node = node_id_;
+    source.home_region = pool_region_;
+    source.offset = entry->offset;
+    source.data_size = entry->data_size;
+    source.metadata_size = entry->metadata_size;
     desired = entry->desired_copies;
     origin = entry->origin_node;
     holders = entry->copy_nodes;
@@ -1998,19 +2004,26 @@ std::optional<Store::ReplicaPush> Store::StartReplication(
   uint32_t wanted = desired - static_cast<uint32_t>(holders.size());
   ReplicaPush push;
   push.origin = origin;
-  push.accepted = dist_hooks_->ReplicateObject(id, bytes.data(), data_size,
-                                               metadata_size, wanted,
+  push.bytes = source.data_size + source.metadata_size;
+  // The ref keeps the bytes still, so the checksum needs no lock. A
+  // target checks its copy against it: a push that times out drops the
+  // ref while the target may still be about to pull.
+  const uint32_t crc = Crc32(pool_base_ + source.offset, push.bytes);
+  push.accepted = dist_hooks_->ReplicateObject(id, source, crc, wanted,
                                                holders, origin, desired);
   return push;
 }
 
 void Store::MergeReplicas(Shard& owner, const ObjectId& id, uint32_t origin,
                           const std::vector<uint32_t>& accepted) {
-  if (accepted.empty()) return;
   MutexLock lock(owner.mutex);
+  // The pulls are over: drop StartReplication's ref, acceptors or not.
+  MDOS_WARN_IF_ERROR(owner.table.ReleaseRef(id).status(),
+                     "dropping the ref held for a replication push");
+  if (accepted.empty()) return;
   auto entry = owner.table.Lookup(id);
-  // Deleted or re-created (different origin) while the pushes were in
-  // flight: leave the new record alone. The stray remote copies are
+  // Re-homed (a re-heal made another node the origin) while the pushes
+  // were in flight: leave the new record alone. Stray remote copies are
   // reclaimed by the origin-delete fan-out or a later re-heal round.
   if (!entry.ok() || entry->origin_node != origin) return;
   std::vector<uint32_t> merged = entry->copy_nodes;
@@ -2020,45 +2033,98 @@ void Store::MergeReplicas(Shard& owner, const ObjectId& id, uint32_t origin,
                                    entry->origin_node, std::move(merged));
 }
 
-Status Store::AcceptReplica(const ObjectId& id, uint32_t from_node,
+Status Store::AcceptReplica(const ObjectId& id,
+                            const RemoteObjectLocation& source, uint32_t crc,
                             uint32_t origin_node, uint32_t desired_copies,
-                            const std::vector<uint32_t>& copy_nodes,
-                            const uint8_t* data, uint64_t data_size,
-                            uint64_t metadata_size) {
-  (void)from_node;
-  const uint64_t total = data_size + metadata_size;
-  if (total == 0) return Status::Invalid("replica must not be empty");
+                            const std::vector<uint32_t>& copy_nodes) {
+  const uint64_t total = source.data_size + source.metadata_size;
+  if (total == 0 || total < source.data_size) {
+    return Status::Invalid("replica size out of range");
+  }
+  if (fabric_ == nullptr) {
+    return Status::Invalid("replica pull needs a fabric-backed store");
+  }
+  // Every field comes from the peer: the region must belong to the node
+  // that sent it, and the range must lie inside the region.
+  MDOS_ASSIGN_OR_RETURN(tf::RegionInfo region,
+                        fabric_->region_info(source.home_region));
+  if (region.owner != source.home_node) {
+    return Status::Invalid("replica source region " +
+                           std::to_string(source.home_region) +
+                           " is not owned by node " +
+                           std::to_string(source.home_node));
+  }
+  MDOS_ASSIGN_OR_RETURN(tf::AttachedRegion attached,
+                        fabric_->Attach(node_id_, source.home_region));
+  // Checked before allocating too, so a bad range evicts nothing.
+  if (source.offset > attached.size() ||
+      total > attached.size() - source.offset) {
+    return Status::Invalid("replica source range is outside region " +
+                           std::to_string(source.home_region));
+  }
   Shard& owner = OwnerShard(id);
-  Notification notice;
-  notice.id = id;
-  notice.data_size = data_size;
-  notice.metadata_size = metadata_size;
+  // An id this store already holds is answered before anything is
+  // allocated or pulled, so a duplicate push evicts nothing.
+  auto merge_existing = [&]() -> std::optional<Status> {
+    owner.mutex.AssertHeld();  // called under the lock below
+    auto existing = owner.table.Lookup(id);
+    if (!existing.ok()) return std::nullopt;
+    if (existing->state == ObjectState::kCreated) {
+      // A local client is mid-create on the same id; the pusher treats
+      // this as a miss and picks another target.
+      return Status::AlreadyExists("replica target id " + id.Hex() +
+                                   " is being created locally");
+    }
+    // Idempotent re-push (retry, or a re-heal round racing the original
+    // fan-out): merge the copy sets, keep the bytes we have.
+    std::vector<uint32_t> merged = existing->copy_nodes;
+    for (uint32_t node : copy_nodes) MergeCopyNode(merged, node);
+    MergeCopyNode(merged, node_id_);
+    return owner.table.SetReplication(id, desired_copies, origin_node,
+                                      std::move(merged));
+  };
+  alloc::Allocation allocation;
   {
     MutexLock lock(owner.mutex);
-    auto existing = owner.table.Lookup(id);
-    if (existing.ok()) {
-      if (existing->state == ObjectState::kCreated) {
-        // A local client is mid-create on the same id; the pusher treats
-        // this as a miss and picks another target.
-        return Status::AlreadyExists("replica target id " + id.Hex() +
-                                     " is being created locally");
-      }
-      // Idempotent re-push (retry, or a re-heal round racing the
-      // original fan-out): merge the copy sets, keep the bytes we have.
-      std::vector<uint32_t> merged = existing->copy_nodes;
-      for (uint32_t node : copy_nodes) MergeCopyNode(merged, node);
-      MergeCopyNode(merged, node_id_);
-      return owner.table.SetReplication(id, desired_copies, origin_node,
-                                        std::move(merged));
+    if (auto merged = merge_existing()) return *merged;
+    MDOS_ASSIGN_OR_RETURN(allocation, AllocateWithEviction(owner, total));
+  }
+  // The pull runs outside the shard mutex, so the shard serves its
+  // clients while this thread stalls for the read. The allocation is in
+  // no table entry yet: nothing else can free or reuse it meanwhile.
+  uint8_t* copy = pool_base_ + allocation.offset;
+  Status pulled = attached.Read(source.offset, copy, total);
+  if (pulled.ok() && Crc32(copy, total) != crc) {
+    // The sender holds its bytes in place only until the push's RPC
+    // completes. This pull ran after a timeout ended it, and the bytes
+    // at `offset` have moved since.
+    pulled = Status::Invalid("the bytes no longer match the pushed CRC");
+  }
+  Notification notice;
+  notice.id = id;
+  notice.data_size = source.data_size;
+  notice.metadata_size = source.metadata_size;
+  {
+    MutexLock lock(owner.mutex);
+    std::optional<Status> merged;
+    if (pulled.ok()) merged = merge_existing();  // created during the pull
+    if (!pulled.ok() || merged.has_value()) {
+      MDOS_WARN_IF_ERROR(owner.arena->Free(allocation.offset),
+                         "freeing the allocation of an unused replica");
     }
-    MDOS_ASSIGN_OR_RETURN(alloc::Allocation allocation,
-                          AllocateWithEviction(owner, total));
-    std::memcpy(pool_base_ + allocation.offset, data, total);
+    if (!pulled.ok()) {
+      // The target answered: a code the pusher does not count as a
+      // connectivity failure, so it moves on to its next candidate.
+      return Status::Invalid("replica pull from node " +
+                             std::to_string(source.home_node) +
+                             " failed: " + pulled.ToString());
+    }
+    if (merged.has_value()) return *merged;
     ObjectEntry entry;
     entry.id = id;
     entry.offset = allocation.offset;
-    entry.data_size = data_size;
-    entry.metadata_size = metadata_size;
+    entry.data_size = source.data_size;
+    entry.metadata_size = source.metadata_size;
     entry.desired_copies = desired_copies;
     entry.origin_node = origin_node;
     entry.copy_nodes = copy_nodes;
@@ -2085,7 +2151,8 @@ Status Store::AcceptReplica(const ObjectId& id, uint32_t from_node,
       MutexLock index_lock(index_mutex_);
       // mdos-check: allow-discard(a full index is an expected steady state: readers fall back to the RPC path and the miss is visible in SharedIndexStats)
       (void)shared_index_->Insert(
-          id, IndexedObject{allocation.offset, data_size, metadata_size});
+          id, IndexedObject{allocation.offset, source.data_size,
+                            source.metadata_size});
     }
   }
   // A replica arrival is a seal as far as local waiters are concerned:
@@ -2228,127 +2295,83 @@ void Store::RehealLoop() {
 }
 
 uint64_t Store::RehealSweep() {
-  uint64_t healed_copies = 0;
-  uint64_t healed_bytes = 0;
+  std::vector<std::pair<Shard*, ObjectId>> to_heal;
+  for (auto& shard : shards_) {
+    MutexLock lock(shard->mutex);
+    for (const ObjectId& id : shard->table.CollectUnderReplicated()) {
+      auto entry = shard->table.Lookup(id);
+      if (!entry.ok() || entry->copy_nodes.empty()) continue;
+      // Same deterministic healer election as the death path: the
+      // lowest believed holder pushes, so concurrent sweeps on
+      // different holders don't double-replicate.
+      uint32_t healer = *std::min_element(entry->copy_nodes.begin(),
+                                          entry->copy_nodes.end());
+      if (healer == node_id_) to_heal.emplace_back(shard.get(), id);
+    }
+  }
+  return HealObjects(to_heal, "re-heal sweep");
+}
+
+void Store::RehealForDeadNode(uint32_t dead) {
+  // Objects this store must push a fresh copy of: below their desired
+  // count after the strip, and this node won the healer election.
+  std::vector<std::pair<Shard*, ObjectId>> to_heal;
   for (auto& shard : shards_) {
     Shard& owner = *shard;
-    std::vector<ObjectId> to_heal;
-    {
-      MutexLock lock(owner.mutex);
-      for (const ObjectId& id : owner.table.CollectUnderReplicated()) {
-        auto entry = owner.table.Lookup(id);
-        if (!entry.ok() || entry->copy_nodes.empty()) continue;
-        // Same deterministic healer election as the death path: the
-        // lowest believed holder pushes, so concurrent sweeps on
-        // different holders don't double-replicate.
-        uint32_t healer = *std::min_element(entry->copy_nodes.begin(),
-                                            entry->copy_nodes.end());
-        if (healer == node_id_) to_heal.push_back(id);
+    MutexLock lock(owner.mutex);
+    for (const ObjectId& id : owner.table.CollectReplicatedWith(dead)) {
+      auto entry = owner.table.Lookup(id);
+      if (!entry.ok()) continue;
+      std::vector<uint32_t> live;
+      live.reserve(entry->copy_nodes.size());
+      for (uint32_t node : entry->copy_nodes) {
+        if (node != dead) live.push_back(node);
+      }
+      if (live.empty() || live.size() == entry->copy_nodes.size()) {
+        continue;
+      }
+      // Every surviving holder runs the same computation on the same
+      // copy set, so they all agree on the new origin and on which one
+      // of them heals: the lowest live node id. Deterministic — no
+      // coordination round needed.
+      uint32_t healer = *std::min_element(live.begin(), live.end());
+      uint32_t origin =
+          entry->origin_node == dead ? healer : entry->origin_node;
+      // mdos-check: allow-discard(the entry was verified live at the top of this loop body under this lock; a concurrent delete makes the update moot)
+      (void)owner.table.SetReplication(id, entry->desired_copies, origin,
+                                       live);
+      if (live.size() < entry->desired_copies && healer == node_id_) {
+        to_heal.emplace_back(&owner, id);
       }
     }
-    for (const ObjectId& id : to_heal) {
-      size_t before = 0;
-      uint64_t size = 0;
-      {
-        MutexLock lock(owner.mutex);
-        auto entry = owner.table.Lookup(id);
-        if (!entry.ok()) continue;
-        before = entry->copy_nodes.size();
-        size = entry->total_size();
-      }
-      if (auto push = StartReplication(owner, id)) {
-        MergeReplicas(owner, id, push->origin, push->accepted.Take());
-      }
-      {
-        MutexLock lock(owner.mutex);
-        auto entry = owner.table.Lookup(id);
-        if (entry.ok() && entry->copy_nodes.size() > before) {
-          uint64_t added = entry->copy_nodes.size() - before;
-          healed_copies += added;
-          healed_bytes += added * size;
-        }
-      }
-    }
+  }
+  HealObjects(to_heal,
+              "re-heal after node " + std::to_string(dead) + " death");
+}
+
+uint64_t Store::HealObjects(
+    const std::vector<std::pair<Shard*, ObjectId>>& to_heal,
+    const std::string& pass) {
+  uint64_t healed_copies = 0;
+  uint64_t healed_bytes = 0;
+  for (const auto& [owner, id] : to_heal) {
+    // Restores from the spill tier if needed, has registry-chosen peers
+    // pull the bytes, merges acceptors into the record.
+    auto push = StartReplication(*owner, id);
+    if (!push.has_value()) continue;
+    std::vector<uint32_t> accepted = push->accepted.Take();
+    MergeReplicas(*owner, id, push->origin, accepted);
+    healed_copies += accepted.size();
+    healed_bytes += accepted.size() * push->bytes;
   }
   if (healed_copies > 0) {
     reheal_copies_.fetch_add(healed_copies, std::memory_order_relaxed);
     reheal_bytes_.fetch_add(healed_bytes, std::memory_order_relaxed);
-    MDOS_LOG_INFO << "store " << options_.name << ": re-heal sweep pushed "
+    MDOS_LOG_INFO << "store " << options_.name << ": " << pass << " pushed "
                   << healed_copies << " copies (" << healed_bytes
                   << " bytes)";
   }
   return healed_copies;
-}
-
-void Store::RehealForDeadNode(uint32_t dead) {
-  uint64_t healed_copies = 0;
-  uint64_t healed_bytes = 0;
-  for (auto& shard : shards_) {
-    Shard& owner = *shard;
-    // Objects this store must push a fresh copy of: below their desired
-    // count after the strip, and this node won the healer election.
-    std::vector<ObjectId> to_heal;
-    {
-      MutexLock lock(owner.mutex);
-      for (const ObjectId& id : owner.table.CollectReplicatedWith(dead)) {
-        auto entry = owner.table.Lookup(id);
-        if (!entry.ok()) continue;
-        std::vector<uint32_t> live;
-        live.reserve(entry->copy_nodes.size());
-        for (uint32_t node : entry->copy_nodes) {
-          if (node != dead) live.push_back(node);
-        }
-        if (live.empty() || live.size() == entry->copy_nodes.size()) {
-          continue;
-        }
-        // Every surviving holder runs the same computation on the same
-        // copy set, so they all agree on the new origin and on which one
-        // of them heals: the lowest live node id. Deterministic — no
-        // coordination round needed.
-        uint32_t healer = *std::min_element(live.begin(), live.end());
-        uint32_t origin =
-            entry->origin_node == dead ? healer : entry->origin_node;
-        // mdos-check: allow-discard(the entry was verified live at the top of this loop body under this lock; a concurrent delete makes the update moot)
-        (void)owner.table.SetReplication(id, entry->desired_copies,
-                                         origin, live);
-        if (live.size() < entry->desired_copies && healer == node_id_) {
-          to_heal.push_back(id);
-        }
-      }
-    }
-    for (const ObjectId& id : to_heal) {
-      size_t before = 0;
-      uint64_t size = 0;
-      {
-        MutexLock lock(owner.mutex);
-        auto entry = owner.table.Lookup(id);
-        if (!entry.ok()) continue;
-        before = entry->copy_nodes.size();
-        size = entry->total_size();
-      }
-      // Restores from the spill tier if needed, pushes to registry-
-      // chosen peers outside any lock, merges acceptors into the record.
-      if (auto push = StartReplication(owner, id)) {
-        MergeReplicas(owner, id, push->origin, push->accepted.Take());
-      }
-      {
-        MutexLock lock(owner.mutex);
-        auto entry = owner.table.Lookup(id);
-        if (entry.ok() && entry->copy_nodes.size() > before) {
-          uint64_t added = entry->copy_nodes.size() - before;
-          healed_copies += added;
-          healed_bytes += added * size;
-        }
-      }
-    }
-  }
-  if (healed_copies > 0) {
-    reheal_copies_.fetch_add(healed_copies, std::memory_order_relaxed);
-    reheal_bytes_.fetch_add(healed_bytes, std::memory_order_relaxed);
-    MDOS_LOG_INFO << "store " << options_.name << ": re-heal after node "
-                  << dead << " death pushed " << healed_copies
-                  << " copies (" << healed_bytes << " bytes)";
-  }
 }
 
 StoreStats Store::stats() {

@@ -133,15 +133,6 @@ struct StoreOptions {
   // Distributed object-usage sharing (paper future work, implemented):
   // pin remote objects at their home store while local clients use them.
   bool pin_remote_objects = true;
-  // Mapped data plane (zero-RPC remote reads): serve remote sealed Gets
-  // as (node, region, offset, size, generation) descriptors instead of
-  // pinning at the home store. Clients copy the payload straight from
-  // the mapped region and re-check the generation; a mismatch (evicted /
-  // spilled / deleted mid-read) falls back to a pinned re-Get. Requires
-  // a generation table (SetGenerationTable) to take effect. Off by
-  // default: descriptor Gets hold no pin at the home store, which
-  // changes the eviction-protection contract the default mode provides.
-  bool mapped_remote_reads = false;
   // k-way replication: every sealed object is fanned out to
   // (replication_factor - 1) replica peers over the dist layer, and the
   // re-heal driver restores the copy count when a peer holding one dies.
@@ -227,19 +218,20 @@ class DistHooks {
   };
   virtual RobustnessCounters GetRobustnessCounters() { return {}; }
 
-  // k-way replication: push `id`'s bytes (data section then metadata,
-  // data_size + metadata_size bytes at `bytes`, copied before the call
-  // returns) to up to `copies_wanted` live peers not in `exclude` (nodes
-  // already holding a copy). Completes with the node ids that accepted.
-  // `origin`/`desired` travel with the copy so every holder records the
-  // same replication state. Default: no peers.
+  // k-way replication: ask up to `copies_wanted` live peers not in
+  // `exclude` (nodes already holding a copy) to pull `id` out of this
+  // store's pool at `source` (region, data offset, sizes) through their
+  // own fabric attachment. `crc` is the Crc32 of those bytes; a target
+  // refuses a copy that does not match it. The caller keeps the bytes in
+  // place until the future completes, with the node ids that accepted.
+  // `origin`/`desired` travel with the request so every holder records
+  // the same replication state. Default: no peers.
   virtual Future<std::vector<uint32_t>> ReplicateObject(
-      const ObjectId& id, const uint8_t* bytes, uint64_t data_size,
-      uint64_t metadata_size, uint32_t copies_wanted,
-      const std::vector<uint32_t>& exclude, uint32_t origin,
-      uint32_t desired) {
-    (void)id; (void)bytes; (void)data_size; (void)metadata_size;
-    (void)copies_wanted; (void)exclude; (void)origin; (void)desired;
+      const ObjectId& id, const RemoteObjectLocation& source, uint32_t crc,
+      uint32_t copies_wanted, const std::vector<uint32_t>& exclude,
+      uint32_t origin, uint32_t desired) {
+    (void)id; (void)source; (void)crc; (void)copies_wanted; (void)exclude;
+    (void)origin; (void)desired;
     return MakeReadyFuture(std::vector<uint32_t>{});
   }
 
@@ -273,14 +265,9 @@ class Store {
   // Stops every thread and closes all client connections. Idempotent.
   void Stop();
 
-  // Wiring (before Start): distributed hooks and the external-pin
-  // predicate consulted by eviction (distributed usage tracking). Both
-  // may be called from any shard thread concurrently and must be
-  // thread-safe.
+  // Wiring (before Start): distributed hooks. They may be called from
+  // any shard thread concurrently and must be thread-safe.
   void SetDistHooks(DistHooks* hooks) { dist_hooks_ = hooks; }
-  void SetExternalPinCheck(std::function<bool(const ObjectId&)> check) {
-    external_pin_check_ = std::move(check);
-  }
 
   // Shared-index extension (paper §V-B): when set, sealed objects are
   // published into `writer` (a table in disaggregated memory that remote
@@ -294,14 +281,19 @@ class Store {
   }
   uint32_t index_region() const { return index_region_; }
 
-  // Mapped data plane: when set, every transition that (re)binds or
-  // invalidates an object's bytes — seal, destructive evict, spill,
-  // spill-restore re-insert, delete — bumps the id's slot in `table`,
-  // and peer-facing lookups stamp descriptors with the current
-  // generation. `gen_region` is the fabric region peers attach (travels
-  // in the Hello handshake). The table is lock-free (per-slot atomics),
-  // so unlike the shared index it needs no store-level serialization;
-  // bumps are ordered against index updates by the owning shard's mutex.
+  // Mapped data plane (zero-RPC remote reads): when set, every transition
+  // that (re)binds or invalidates an object's bytes — seal, destructive
+  // evict, spill, spill-restore re-insert, delete — bumps the id's slot
+  // in `table`, peer-facing lookups stamp descriptors with the current
+  // generation, and remote sealed Gets are served as those unpinned
+  // descriptors instead of pinning at the home store. Clients copy the
+  // payload straight from the mapped region and re-check the generation;
+  // a mismatch (evicted / spilled / deleted mid-read) falls back to a
+  // pinned re-Get. Unset (the default) keeps the pinned contract.
+  // `gen_region` is the fabric region peers attach (travels in the Hello
+  // handshake). The table is lock-free (per-slot atomics), so unlike the
+  // shared index it needs no store-level serialization; bumps are
+  // ordered against index updates by the owning shard's mutex.
   void SetGenerationTable(GenerationTable* table, uint32_t gen_region) {
     gen_table_ = table;
     gen_region_ = gen_region;
@@ -348,15 +340,24 @@ class Store {
 
   // ---- k-way replication (peer surface + re-heal driver) --------------
 
-  // Installs a replica copy pushed by `from_node` (Plasma.Replicate).
-  // Allocates (with eviction), copies the payload, seals, and records
-  // the replication state. Idempotent: a copy that already exists merges
-  // `copy_nodes` into its record and reports success.
-  Status AcceptReplica(const ObjectId& id, uint32_t from_node,
-                       uint32_t origin_node, uint32_t desired_copies,
-                       const std::vector<uint32_t>& copy_nodes,
-                       const uint8_t* data, uint64_t data_size,
-                       uint64_t metadata_size);
+  // Installs a replica of `id` pushed by `source.home_node`
+  // (Plasma.Replicate) by pulling its bytes over the fabric: checks that
+  // the node owns `source.home_region`, allocates (with eviction), reads
+  // the data and metadata sections through this node's attachment of
+  // that region, checks the copy against `crc`, seals, and records the
+  // replication state. The pull runs on the calling thread (the RPC
+  // serve thread) outside the shard mutex, and stalls it for the
+  // modelled read. A refused region or range returns before allocating;
+  // a failed read or a CRC mismatch (the sender's push timed out and its
+  // bytes moved before this pull ran) frees the allocation. None of
+  // these errors is a connectivity code, so the pusher tries its next
+  // candidate. Idempotent: a copy that already exists merges
+  // `copy_nodes` into its record and reports success, without
+  // allocating or pulling.
+  Status AcceptReplica(const ObjectId& id, const RemoteObjectLocation& source,
+                       uint32_t crc, uint32_t origin_node,
+                       uint32_t desired_copies,
+                       const std::vector<uint32_t>& copy_nodes);
 
   // Drops the local replica of `id` because its origin `from_node`
   // deleted it (Plasma.ReplicaDrop). Refuses when the local entry is not
@@ -655,12 +656,17 @@ class Store {
 
   // Replication after a local Seal (and in the re-heal driver): when the
   // entry wants more copies than it has and dist hooks are wired,
-  // snapshots the bytes under the owner mutex and hands them to the dist
-  // layer, which pushes them to registry-chosen peers. nullopt when
-  // there is nothing to push. MergeReplicas then folds the acceptors
-  // into the entry's copy set.
+  // restores a spilled entry, takes one table ref on it and hands its
+  // pool location and the Crc32 of its bytes to the dist layer, whose
+  // chosen peers pull the bytes over the fabric and check them against
+  // the CRC. While the ref is held, eviction and spill skip the
+  // object and a Delete or replica drop is refused as in use. nullopt
+  // (and no ref) when there is nothing to push. MergeReplicas must then
+  // run once per push, with or without acceptors: it drops the ref and
+  // folds the acceptors into the entry's copy set.
   struct ReplicaPush {
     uint32_t origin = 0;
+    uint64_t bytes = 0;  // data + metadata, per copy
     Future<std::vector<uint32_t>> accepted;
   };
   std::optional<ReplicaPush> StartReplication(Shard& owner,
@@ -781,7 +787,6 @@ class Store {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   DistHooks* dist_hooks_ = nullptr;
-  std::function<bool(const ObjectId&)> external_pin_check_;
   // Shared-index writer; serialized across shards by index_mutex_. The
   // lock order (shard mutex first, index mutex second) is declared on
   // Shard::mutex via ACQUIRED_BEFORE. The pointer itself is written
@@ -819,6 +824,13 @@ class Store {
   // sweep is how they converge once the network heals. Returns the
   // number of copies pushed (0 = no progress, caller backs off).
   uint64_t RehealSweep();
+  // Both passes end here: pushes a fresh copy of every elected object
+  // through the seal-time path (StartReplication, MergeReplicas), folds
+  // the copies accepted into the reheal counters, and logs them under
+  // `pass`. Returns the number of copies accepted.
+  uint64_t HealObjects(
+      const std::vector<std::pair<Shard*, ObjectId>>& to_heal,
+      const std::string& pass);
 
   // Queue bound: a flood of death reports (flapping detector, chaos)
   // queues at most this many distinct nodes; the rest are dropped and

@@ -232,12 +232,6 @@ class RpcChannel {
                               uint64_t timeout_ms = 0) {
     return CallTypedAsync<ResponseT>(method, request, timeout_ms).Take();
   }
-  template <typename ResponseT, typename RequestT>
-  Result<ResponseT> CallTypedDeadline(const std::string& method,
-                                      const RequestT& request,
-                                      Deadline deadline) {
-    return CallTypedAsync<ResponseT>(method, request, deadline).Take();
-  }
 
   // Installs the (cluster-owned) fault injector for this channel's
   // directed link. Requests consult self -> peer, responses peer ->

@@ -133,8 +133,6 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
   auto view = RpcRequestView::DecodeFrom(reader);
   if (!view.ok()) return view.status();
 
-  if (request_observer_) request_observer_(view->method, view->deadline_ms);
-
   RpcResponse response;
   response.call_id = view->call_id;
 

@@ -73,16 +73,6 @@ class RpcServer {
   // store's handler-side work in latency studies. 0 = disabled.
   void set_service_delay_ns(int64_t ns) { service_delay_ns_.store(ns); }
 
-  // Test hook: observes every request envelope (method, stamped
-  // deadline budget in ms) before dispatch — the deadline tests use it
-  // to assert budget decrement across hops. Must be set before Start;
-  // runs on the service thread.
-  using RequestObserver =
-      std::function<void(std::string_view method, uint64_t deadline_ms)>;
-  void SetRequestObserver(RequestObserver observer) {
-    request_observer_ = std::move(observer);
-  }
-
  private:
   // One peer connection: receive scratch + egress queue (service thread
   // only).
@@ -117,7 +107,6 @@ class RpcServer {
   // Transparent comparator: dispatch looks up by the string_view from
   // the envelope without materializing a key.
   std::map<std::string, Handler, std::less<>> handlers_;
-  RequestObserver request_observer_;
   net::UniqueFd listen_fd_;
   uint16_t port_ = 0;
   std::thread thread_;

@@ -4,7 +4,11 @@
 // the cluster-level kill/restart round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -415,6 +419,229 @@ TEST_F(FailoverDistTest, GetRetriesTheLookupOnceWhenItsPinFails) {
   EXPECT_EQ(registries_[0]->stats().stale_pins_detected, 1u);
   EXPECT_EQ(registries_[0]->stats().lookup_rpcs - lookups_before, 2u);
   EXPECT_EQ(stores_[1]->RemotePins(id), 0u);
+}
+
+// A replication push keeps the origin's bytes in place until the target
+// has pulled them: a Delete that lands mid-pull is refused as in use, the
+// replica gets the sealed bytes, and the Delete succeeds once the seal
+// has acked.
+TEST_F(FailoverDistTest, DeleteDuringAReplicaPullIsRefusedAsInUse) {
+  Init(FastFailureOptions());
+  auto producer = Client(0);
+  auto deleter = Client(0);
+  ASSERT_TRUE(producer.ok() && deleter.ok());
+  const ObjectId id = ObjectId::FromName("deleted-mid-pull");
+  const std::string payload = RandomPayload(23, 64 << 10);
+
+  // Node 1's replicate handler deletes the object at node 0 before it
+  // pulls the bytes.
+  Status mid_pull_delete;
+  servers_[1].Stop();
+  servers_[1].RegisterHandler(
+      dist::kMethodReplicate,
+      [&](const std::vector<uint8_t>& bytes)
+          -> Result<std::vector<uint8_t>> {
+        wire::Reader r(bytes.data(), bytes.size());
+        MDOS_ASSIGN_OR_RETURN(dist::ReplicateRequest request,
+                              dist::ReplicateRequest::DecodeFrom(r));
+        mid_pull_delete = (*deleter)->Delete(request.id);
+        dist::ReplicateReply reply;
+        reply.status = stores_[1]->AcceptReplica(
+            request.id, request.source(), request.crc, request.origin_node,
+            request.desired_copies, request.copy_nodes);
+        wire::Writer w;
+        reply.EncodeTo(w);
+        return w.TakeBuffer();
+      });
+  ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
+  ASSERT_TRUE(registries_[0]->AddPeer("127.0.0.1", ports_[1]).ok());
+
+  ASSERT_TRUE((*producer)
+                  ->CreateAndSeal(id, payload, /*metadata=*/{},
+                                  /*replicate=*/true)
+                  .ok());
+  EXPECT_EQ(mid_pull_delete.code(), StatusCode::kInvalid) << mid_pull_delete;
+  EXPECT_NE(mid_pull_delete.message().find("in use"), std::string::npos)
+      << mid_pull_delete;
+  EXPECT_EQ(stores_[0]->stats().under_replicated, 0u);
+
+  auto reader = Client(1);
+  ASSERT_TRUE(reader.ok());
+  auto replica = (*reader)->Get(id, /*timeout_ms=*/0);
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  EXPECT_FALSE(replica->is_remote());
+  auto crc = replica->ChecksumData();
+  ASSERT_TRUE(crc.ok());
+  EXPECT_EQ(*crc, Crc32(payload));
+  ASSERT_TRUE((*reader)->Release(id).ok());
+
+  ASSERT_TRUE((*deleter)->Delete(id).ok());
+  EXPECT_FALSE(stores_[1]->ContainsId(id));
+}
+
+// Every field of a Plasma.Replicate request comes from a peer: a range
+// past the end of the named region and a region the sender does not own
+// are refused before anything is allocated.
+TEST_F(FailoverDistTest, AcceptReplicaRefusesABadSource) {
+  Init(FastFailureOptions());
+  const plasma::StoreStats before = stores_[1]->stats();
+  const ObjectId id = ObjectId::FromName("bad-source");
+  auto accept = [&](const plasma::RemoteObjectLocation& source) {
+    return stores_[1]->AcceptReplica(id, source, /*crc=*/0, source.home_node,
+                                     /*desired_copies=*/2, {});
+  };
+
+  plasma::RemoteObjectLocation overrun;
+  overrun.home_node = stores_[0]->node_id();
+  overrun.home_region = stores_[0]->pool_region();
+  overrun.offset = stores_[0]->capacity() - 100;
+  overrun.data_size = 4096;
+  EXPECT_FALSE(accept(overrun).ok());
+  overrun.offset = UINT64_MAX - 10;  // offset + size wraps
+  EXPECT_FALSE(accept(overrun).ok());
+
+  plasma::RemoteObjectLocation foreign;
+  foreign.home_node = stores_[0]->node_id();
+  foreign.home_region = stores_[1]->pool_region();
+  foreign.data_size = 64;
+  EXPECT_FALSE(accept(foreign).ok());
+
+  const plasma::StoreStats after = stores_[1]->stats();
+  EXPECT_EQ(after.bytes_in_use, before.bytes_in_use);
+  EXPECT_EQ(after.objects_total, before.objects_total);
+  EXPECT_FALSE(stores_[1]->ContainsId(id));
+}
+
+// A push that times out drops the origin's ref while the target may not
+// have pulled yet. When the origin then deletes the object and reuses
+// its memory, the late pull reads another object's bytes: the CRC check
+// refuses them instead of installing them under the old id.
+TEST_F(FailoverDistTest, LatePullAfterAPushTimedOutIsRefused) {
+  Init(FastFailureOptions());
+  auto producer = Client(0);
+  ASSERT_TRUE(producer.ok());
+  const ObjectId first = ObjectId::FromName("push-timed-out");
+  const ObjectId second = ObjectId::FromName("reuses-its-memory");
+
+  // Node 1's replicate handler holds its first pull until the push has
+  // timed out and node 0 has reused the memory. A re-heal sweep's push
+  // queues behind it on the serve thread. Shared, so a handler still
+  // running after an early test exit touches live state.
+  struct LatePull {
+    std::promise<void> reused;
+    std::shared_future<void> reused_ready = reused.get_future().share();
+    std::promise<Status> refused;
+    std::atomic<int> pulls{0};
+  };
+  auto late = std::make_shared<LatePull>();
+  servers_[1].Stop();
+  servers_[1].RegisterHandler(
+      dist::kMethodReplicate,
+      [this, late](const std::vector<uint8_t>& bytes)
+          -> Result<std::vector<uint8_t>> {
+        wire::Reader r(bytes.data(), bytes.size());
+        MDOS_ASSIGN_OR_RETURN(dist::ReplicateRequest request,
+                              dist::ReplicateRequest::DecodeFrom(r));
+        const bool first_pull = late->pulls.fetch_add(1) == 0;
+        if (first_pull) late->reused_ready.wait_for(std::chrono::seconds(10));
+        dist::ReplicateReply reply;
+        reply.status = stores_[1]->AcceptReplica(
+            request.id, request.source(), request.crc, request.origin_node,
+            request.desired_copies, request.copy_nodes);
+        if (first_pull) late->refused.set_value(reply.status);
+        wire::Writer w;
+        reply.EncodeTo(w);
+        return w.TakeBuffer();
+      });
+  ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
+  ASSERT_TRUE(registries_[0]->AddPeer("127.0.0.1", ports_[1]).ok());
+
+  // The seal acks once the push times out, with no copy recorded.
+  ASSERT_TRUE((*producer)
+                  ->CreateAndSeal(first, RandomPayload(29, 64 << 10),
+                                  /*metadata=*/{}, /*replicate=*/true)
+                  .ok());
+  EXPECT_EQ(stores_[0]->stats().under_replicated, 1u);
+  const auto old_location = stores_[0]->LookupManyForPeer({first})[0];
+  ASSERT_TRUE(old_location.has_value());
+  // A re-heal sweep's push may hold a ref until its own timeout.
+  ASSERT_TRUE(WaitUntil([&] { return (*producer)->Delete(first).ok(); }));
+  ASSERT_TRUE(
+      (*producer)->CreateAndSeal(second, RandomPayload(31, 64 << 10)).ok());
+  const auto new_location = stores_[0]->LookupManyForPeer({second})[0];
+  ASSERT_TRUE(new_location.has_value());
+  ASSERT_EQ(new_location->offset, old_location->offset);
+  late->reused.set_value();
+
+  auto refused = late->refused.get_future();
+  ASSERT_EQ(refused.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  const Status status = refused.get();
+  EXPECT_EQ(status.code(), StatusCode::kInvalid) << status;
+  EXPECT_NE(status.message().find("CRC"), std::string::npos) << status;
+  // Drain the queued sweep push, which meets the same bytes.
+  servers_[1].Stop();
+  EXPECT_FALSE(stores_[1]->ContainsId(first));
+  EXPECT_EQ(stores_[1]->stats().objects_total, 0u);
+  auto reader = Client(1);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_FALSE((*reader)->Get(first, /*timeout_ms=*/0).ok());
+}
+
+// A push for an id the target already holds merges the copy sets before
+// anything is allocated or pulled: a full target with nothing evictable
+// still answers OK, and evicts nothing.
+TEST_F(FailoverDistTest, DuplicateReplicaPushMergesWithoutEvicting) {
+  Init(FastFailureOptions());
+  ASSERT_TRUE(registries_[0]->AddPeer("127.0.0.1", ports_[1]).ok());
+  auto producer = Client(0);
+  auto holder = Client(1);
+  ASSERT_TRUE(producer.ok() && holder.ok());
+  const ObjectId id = ObjectId::FromName("pushed-twice");
+  const std::string payload = RandomPayload(37, 256 << 10);
+  ASSERT_TRUE((*producer)
+                  ->CreateAndSeal(id, payload, /*metadata=*/{},
+                                  /*replicate=*/true)
+                  .ok());
+  ASSERT_TRUE(stores_[1]->ContainsId(id));
+
+  // Pin the replica, then fill node 1's pool with unsealed objects,
+  // which are never evicted.
+  auto replica = (*holder)->Get(id, /*timeout_ms=*/0);
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  ASSERT_FALSE(replica->is_remote());
+  int fillers = 0;
+  for (uint64_t size = 1 << 20; size >= 4096; size /= 2) {
+    for (;;) {
+      auto filler =
+          (*holder)->Create(testutil::NamedId("filler-", fillers++), size);
+      if (filler.ok()) continue;
+      ASSERT_EQ(filler.status().code(), StatusCode::kOutOfMemory)
+          << filler.status();
+      break;
+    }
+  }
+  const plasma::StoreStats before = stores_[1]->stats();
+  ASSERT_EQ(before.under_replicated, 0u);
+
+  // A second healer re-pushes with a copy set that names one more node.
+  const auto source = stores_[0]->LookupManyForPeer({id})[0];
+  ASSERT_TRUE(source.has_value());
+  const uint32_t origin = stores_[0]->node_id();
+  const uint32_t self = stores_[1]->node_id();
+  const uint32_t third = std::max(origin, self) + 1;
+  Status again = stores_[1]->AcceptReplica(id, *source, Crc32(payload),
+                                           origin, /*desired_copies=*/3,
+                                           {origin, self, third});
+  EXPECT_TRUE(again.ok()) << again;
+
+  const plasma::StoreStats after = stores_[1]->stats();
+  // Three believed holders meet the new desired count of 3.
+  EXPECT_EQ(after.under_replicated, 0u);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.bytes_in_use, before.bytes_in_use);
+  EXPECT_EQ(after.objects_total, before.objects_total);
+  ASSERT_TRUE((*holder)->Release(id).ok());
 }
 
 TEST_F(FailoverDistTest, FailedUnpinReRecordsThePin) {

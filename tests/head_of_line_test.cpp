@@ -121,6 +121,33 @@ TEST(AckOrderTest, ReplicatedSealAcksOnceTheReplicaIsSealed) {
   EXPECT_EQ(SealedEverywhere(**cluster) - before, 2u);
 }
 
+// The replica's bytes cross the fabric, not the RPC link: the seal's
+// Plasma.Replicate request carries only their location, and the target
+// pulls the object with one fabric read.
+TEST(AckOrderTest, ReplicatedSealMovesTheBytesByFabricPull) {
+  auto cluster = MakeCluster(2, QuietNode(/*replication_factor=*/2));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto client = (*cluster)->node(0)->CreateClient("producer");
+  ASSERT_TRUE(client.ok());
+  const ObjectId id = ObjectId::FromName("pulled-not-pushed");
+  const std::string payload = testutil::RandomPayload(19, 256 << 10);
+  // The Create (and its uniqueness probe) stays outside the window.
+  auto buffer = (*client)->Create(id, payload.size());
+  ASSERT_TRUE(buffer.ok()) << buffer.status();
+  ASSERT_TRUE(buffer->WriteDataFrom(payload).ok());
+
+  const uint64_t bytes_in_before =
+      (*cluster)->node(1)->rpc_server().stats().bytes_in;
+  const uint64_t read_before = (*cluster)->fabric().stats().remote.read_bytes;
+  ASSERT_TRUE((*client)->Seal(id).ok());
+  EXPECT_LT((*cluster)->node(1)->rpc_server().stats().bytes_in -
+                bytes_in_before,
+            256u);
+  EXPECT_EQ((*cluster)->fabric().stats().remote.read_bytes - read_before,
+            payload.size());
+  EXPECT_TRUE((*cluster)->node(1)->store().ContainsId(id));
+}
+
 TEST(AckOrderTest, OriginDeleteAcksOnceTheReplicaIsGone) {
   auto cluster = MakeCluster(2, QuietNode(/*replication_factor=*/2));
   ASSERT_TRUE(cluster.ok()) << cluster.status();

@@ -253,25 +253,13 @@ TEST(MemfdTest, FdPassingAcrossSocket) {
   EXPECT_EQ(view->data()[0], 77);
 }
 
-// Both Poller backends (epoll and the poll(2) fallback) must satisfy the
-// same contract; every PollerTest runs against each.
-class PollerTest : public ::testing::TestWithParam<Poller::Backend> {
+// Every PollerTest runs against a fresh epoll-backed Poller.
+class PollerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == Poller::Backend::kPoll) {
-      ::setenv("MDOS_FORCE_POLL", "1", 1);
-    } else {
-      ::unsetenv("MDOS_FORCE_POLL");
-    }
-    poller_ = std::make_unique<Poller>();
-    ASSERT_EQ(poller_->backend(), GetParam());
-  }
-  void TearDown() override { ::unsetenv("MDOS_FORCE_POLL"); }
-
-  std::unique_ptr<Poller> poller_;
+  std::unique_ptr<Poller> poller_ = std::make_unique<Poller>();
 };
 
-TEST_P(PollerTest, ReportsReadableFd) {
+TEST_F(PollerTest, ReportsReadableFd) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -292,7 +280,7 @@ TEST_P(PollerTest, ReportsReadableFd) {
   EXPECT_FALSE(seen_events & kPollerWritable);
 }
 
-TEST_P(PollerTest, TimesOutWithNoEvents) {
+TEST_F(PollerTest, TimesOutWithNoEvents) {
   auto n = poller_->Wait(10, [](int, uint32_t) {
     FAIL() << "no fd should be ready";
   });
@@ -300,7 +288,7 @@ TEST_P(PollerTest, TimesOutWithNoEvents) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WakeupInterruptsWait) {
+TEST_F(PollerTest, WakeupInterruptsWait) {
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
     auto n = poller_->Wait(5000, [](int, uint32_t) {});
@@ -313,7 +301,7 @@ TEST_P(PollerTest, WakeupInterruptsWait) {
   EXPECT_TRUE(woke.load());
 }
 
-TEST_P(PollerTest, RemoveStopsReporting) {
+TEST_F(PollerTest, RemoveStopsReporting) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -325,7 +313,7 @@ TEST_P(PollerTest, RemoveStopsReporting) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
+TEST_F(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -353,7 +341,7 @@ TEST_P(PollerTest, WriteInterestReportsWritableOnlyWhileArmed) {
   EXPECT_EQ(*n, 0);
 }
 
-TEST_P(PollerTest, WriteInterestFiresAfterDrain) {
+TEST_F(PollerTest, WriteInterestFiresAfterDrain) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   UniqueFd a(sv[0]), b(sv[1]);
@@ -382,15 +370,6 @@ TEST_P(PollerTest, WriteInterestFiresAfterDrain) {
   EXPECT_EQ(*n, 1);
   EXPECT_TRUE(seen_events & kPollerWritable);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerTest,
-                         ::testing::Values(Poller::Backend::kEpoll,
-                                           Poller::Backend::kPoll),
-                         [](const auto& info) {
-                           return info.param == Poller::Backend::kEpoll
-                                      ? "epoll"
-                                      : "poll";
-                         });
 
 // ---- TxQueue ---------------------------------------------------------------
 

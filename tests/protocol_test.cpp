@@ -383,5 +383,37 @@ TEST(DistMessagesTest, ProbeAndPin) {
   EXPECT_EQ(RoundTrip(pin_reply).status.code(), StatusCode::kKeyError);
 }
 
+// A replicate request names where the bytes are and their CRC, not the
+// bytes.
+TEST(DistMessagesTest, ReplicateCarriesTheSourceLocation) {
+  ReplicateRequest req;
+  req.id = ObjectId::FromName("replica");
+  req.from_node = 3;
+  req.origin_node = 1;
+  req.desired_copies = 3;
+  req.copy_nodes = {1, 3, 5};
+  req.region = 7;
+  req.offset = (1ull << 33) + 64;
+  req.data_size = 1ull << 32;
+  req.metadata_size = 9;
+  req.crc = 0xdeadbeef;
+  ReplicateRequest d = RoundTrip(req);
+  EXPECT_EQ(d.id, req.id);
+  EXPECT_EQ(d.crc, 0xdeadbeefu);
+  EXPECT_EQ(d.origin_node, 1u);
+  EXPECT_EQ(d.desired_copies, 3u);
+  EXPECT_EQ(d.copy_nodes, req.copy_nodes);
+  plasma::RemoteObjectLocation source = d.source();
+  EXPECT_EQ(source.home_node, 3u);
+  EXPECT_EQ(source.home_region, 7u);
+  EXPECT_EQ(source.offset, req.offset);
+  EXPECT_EQ(source.data_size, req.data_size);
+  EXPECT_EQ(source.metadata_size, 9u);
+
+  ReplicateReply reply;
+  reply.status = Status::Invalid("pull failed");
+  EXPECT_EQ(RoundTrip(reply).status.code(), StatusCode::kInvalid);
+}
+
 }  // namespace
 }  // namespace mdos::dist

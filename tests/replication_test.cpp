@@ -65,6 +65,33 @@ TEST(ReplicationTest, SealFansOutToReplicaPeer) {
   ASSERT_TRUE((*reader)->Release(id).ok());
 }
 
+// Plasma.Replicate carries the object's location, not its bytes, so an
+// object larger than one RPC frame (64 MiB) replicates like any other.
+TEST(ReplicationTest, ObjectLargerThanAnRpcFrameReplicates) {
+  cluster::NodeOptions options = ReplicatedNode(2);
+  options.pool_size = 160ull << 20;
+  auto cluster = MakeCluster(2, options, FastFabric());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  auto producer = (*cluster)->node(0)->CreateClient("producer");
+  ASSERT_TRUE(producer.ok());
+
+  const ObjectId id = ObjectId::FromName("past-the-frame-cap");
+  const std::string payload = RandomPayload(65, 65ull << 20);
+  ASSERT_TRUE((*producer)->CreateAndSeal(id, payload).ok());
+  EXPECT_EQ((*cluster)->node(0)->store().stats().under_replicated, 0u);
+
+  auto reader = (*cluster)->node(1)->CreateClient("reader");
+  ASSERT_TRUE(reader.ok());
+  auto buffer = (*reader)->Get(id, /*timeout_ms=*/0);
+  ASSERT_TRUE(buffer.ok()) << buffer.status();
+  ASSERT_TRUE(buffer->valid());
+  EXPECT_FALSE(buffer->is_remote());
+  auto crc = buffer->ChecksumData();
+  ASSERT_TRUE(crc.ok());
+  EXPECT_EQ(*crc, Crc32(payload));
+  ASSERT_TRUE((*reader)->Release(id).ok());
+}
+
 TEST(ReplicationTest, PerObjectReplicateFlagOnUnreplicatedStore) {
   auto cluster = MakeCluster(2, ReplicatedNode(1), FastFabric());
   ASSERT_TRUE(cluster.ok()) << cluster.status();

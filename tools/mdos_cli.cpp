@@ -142,8 +142,8 @@ int CmdStats(plasma::PlasmaClient& client) {
               static_cast<unsigned long long>(stats->peer_reconnects));
   std::printf("peer_heartbeats:     %llu\n",
               static_cast<unsigned long long>(stats->peer_heartbeats));
-  // Mapped data plane (zero-RPC remote reads); all zero when
-  // mapped_remote_reads is off.
+  // Mapped data plane (zero-RPC remote reads); all zero unless the
+  // store has a generation table (NodeOptions::mapped_remote_reads).
   std::printf("mapped_reads:        %llu\n",
               static_cast<unsigned long long>(stats->mapped_reads));
   std::printf("mapped_bytes:        %llu\n",
