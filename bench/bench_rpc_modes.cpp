@@ -29,9 +29,9 @@ void BM_SerializeLookup(benchmark::State& state) {
   }
   for (auto _ : state) {
     wire::Writer w;
-    request.EncodeTo(w);
+    wire::Encode(w, request);
     wire::Reader r(w.data(), w.size());
-    auto decoded = dist::LookupRequest::DecodeFrom(r);
+    auto decoded = wire::Decode<dist::LookupRequest>(r);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -1,22 +1,29 @@
 // Seed-corpus generator for the fuzz/ harnesses.
 //
-// Writes the checked-in seed corpus under a target directory:
+// Writes the checked-in seed corpus under a target directory, or checks
+// that the directory already holds exactly what it would write:
 //
 //   make_fuzz_seeds <corpus-root>
+//   make_fuzz_seeds --check <corpus-root>
 //
 // Seeds are derived from the real encoders so they start deep inside the
-// decoders (valid frames, valid messages, a genuine spill segment), plus
-// hand-broken variants covering the malformed-input classes the decoders
-// must reject: truncated headers, hostile lengths, wrapped size sums,
-// corrupt CRCs. Regenerating after a protocol change keeps the corpus in
-// sync: build and run this tool, then commit the changed files.
+// decoders (valid frames, one valid message per wire shape, a genuine
+// spill segment), plus hand-broken variants covering the malformed-input
+// classes the decoders must reject: truncated headers, hostile lengths,
+// wrapped size sums, corrupt CRCs. Generation is deterministic, so the
+// check (a ctest) fails when a seed is missing or stale, and because the
+// committed seeds are encoder output, it also fails when the bytes a
+// message encodes to change. After a deliberate protocol change, run the
+// tool without --check and commit the changed files.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,14 +34,44 @@
 #include "plasma/protocol.h"
 #include "plasma/spill_file.h"
 #include "wire/wire.h"
+#include "wire_shapes.h"
 
 namespace {
 
 using mdos::ObjectId;
+// A peer RPC payload: the bare message, no request-id tag.
+using mdos::wire_shapes::EncodeBytes;
+
+// --check: compare against the files instead of writing them.
+bool g_check = false;
+int g_stale = 0;
+
+std::optional<std::vector<uint8_t>> ReadFile(const char* path) {
+  FILE* f = std::fopen(path, "rb");
+  if (f == nullptr) return std::nullopt;
+  std::vector<uint8_t> bytes;
+  uint8_t chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
 
 void WriteSeed(const std::string& dir, const std::string& name,
                const void* data, size_t size) {
   const std::string path = dir + "/" + name;
+  if (g_check) {
+    const auto committed = ReadFile(path.c_str());
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    if (committed != std::vector<uint8_t>(bytes, bytes + size)) {
+      std::fprintf(stderr, "%s: %s\n", committed ? "stale" : "missing",
+                   path.c_str());
+      ++g_stale;
+    }
+    return;
+  }
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     std::perror(path.c_str());
@@ -54,7 +91,7 @@ void WriteSeed(const std::string& dir, const std::string& name,
 
 std::string EnsureDir(const std::string& root, const char* target) {
   const std::string dir = root + "/" + target;
-  ::mkdir(dir.c_str(), 0755);
+  if (!g_check) ::mkdir(dir.c_str(), 0755);
   return dir;
 }
 
@@ -67,7 +104,8 @@ std::vector<uint8_t> BuildFrame(uint32_t magic, uint32_t type,
   std::memcpy(out.data() + 4, &type, 4);
   std::memcpy(out.data() + 8, &length, 4);
   std::memcpy(out.data() + 12, &crc, 4);
-  std::memcpy(out.data() + 16, payload.data(), payload.size());
+  // std::copy, not memcpy: an empty payload's data() may be null.
+  std::copy(payload.begin(), payload.end(), out.begin() + 16);
   return out;
 }
 
@@ -76,14 +114,6 @@ std::vector<uint8_t> ValidFrame(uint32_t type,
   return BuildFrame(mdos::net::kFrameMagic, type,
                     static_cast<uint32_t>(payload.size()),
                     mdos::Crc32(payload.data(), payload.size()), payload);
-}
-
-// A peer RPC payload: the bare message, no request-id tag.
-template <typename Message>
-std::vector<uint8_t> EncodePeer(const Message& msg) {
-  mdos::wire::Writer w;
-  msg.EncodeTo(w);
-  return std::vector<uint8_t>(w.data(), w.data() + w.size());
 }
 
 template <typename Message>
@@ -205,15 +235,17 @@ void MakeProtocolSeeds(const std::string& root) {
   cut.resize(cut.size() / 2);
   WriteSeed(dir, "truncated_body", cut);
 
-  // Tag header alone (every decoder's minimum-length edge).
-  auto tag_only = EncodeTagged(9, ListRequest{});
-  tag_only.resize(8);
+  // Tag header alone (every decoder's minimum-length edge), and the
+  // header cut before its deadline varint.
+  const auto tag_only = EncodeTagged(9, ListRequest{});
   WriteSeed(dir, "tag_header_only", tag_only);
+  WriteSeed(dir, "tag_header_without_deadline",
+            std::vector<uint8_t>(tag_only.begin(), tag_only.begin() + 8));
 
   // Peer RPC payloads (dist/messages.h), decoded by the same harness.
   mdos::dist::LookupRequest lookup;
   lookup.ids = {ObjectId::FromName("a"), ObjectId::FromName("b")};
-  WriteSeed(dir, "peer_lookup_request", EncodePeer(lookup));
+  WriteSeed(dir, "peer_lookup_request", EncodeBytes(lookup));
 
   mdos::dist::LookupReply located;
   mdos::dist::LookupEntry hit;
@@ -223,7 +255,7 @@ void MakeProtocolSeeds(const std::string& root) {
   hit.location.offset = 4096;
   hit.location.data_size = 64;
   located.entries.push_back(hit);
-  WriteSeed(dir, "peer_lookup_reply", EncodePeer(located));
+  WriteSeed(dir, "peer_lookup_reply", EncodeBytes(located));
 
   mdos::dist::ReplicateRequest replicate;
   replicate.id = ObjectId::FromName("seed-replica");
@@ -236,7 +268,17 @@ void MakeProtocolSeeds(const std::string& root) {
   replicate.data_size = 16384;
   replicate.metadata_size = 16;
   replicate.crc = 0x2144df1c;
-  WriteSeed(dir, "peer_replicate_request", EncodePeer(replicate));
+  WriteSeed(dir, "peer_replicate_request", EncodeBytes(replicate));
+
+  // One seed per wire shape, every field filled, framed the way the
+  // harness decodes it.
+  mdos::wire_shapes::ForEachWireShape([&dir](const auto& shape) {
+    mdos::wire_shapes::ShapeType<decltype(shape)> msg{};
+    mdos::wire_shapes::Filler filler;
+    filler.Fill(msg);
+    WriteSeed(dir, shape.name,
+              shape.tagged ? EncodeTagged(7, msg) : EncodeBytes(msg));
+  });
 }
 
 void MakeSpillSeeds(const std::string& root) {
@@ -266,16 +308,7 @@ void MakeSpillSeeds(const std::string& root) {
     (void)file.Append(ObjectId::FromName("spill-b"), payload.data(), 256,
                       0);
   }
-  std::vector<uint8_t> image;
-  {
-    FILE* f = std::fopen(path, "rb");
-    uint8_t chunk[4096];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      image.insert(image.end(), chunk, chunk + n);
-    }
-    std::fclose(f);
-  }
+  const std::vector<uint8_t> image = ReadFile(path).value();
   ::unlink(path);
   WriteSeed(dir, "valid_two_records", image);
 
@@ -330,16 +363,28 @@ void MakeSpillSeeds(const std::string& root) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <corpus-root>\n", argv[0]);
+  g_check = argc == 3 && std::strcmp(argv[1], "--check") == 0;
+  if (argc != 2 && !g_check) {
+    std::fprintf(stderr, "usage: %s [--check] <corpus-root>\n", argv[0]);
     return 2;
   }
-  const std::string root = argv[1];
-  ::mkdir(root.c_str(), 0755);
+  const std::string root = argv[argc - 1];
+  if (!g_check) ::mkdir(root.c_str(), 0755);
   MakeFrameSeeds(root);
   MakeWireSeeds(root);
   MakeProtocolSeeds(root);
   MakeSpillSeeds(root);
+  if (g_check) {
+    if (g_stale > 0) {
+      std::fprintf(stderr,
+                   "%d seed(s) differ from what make_fuzz_seeds writes; "
+                   "regenerate with: make_fuzz_seeds %s\n",
+                   g_stale, root.c_str());
+      return 1;
+    }
+    std::printf("seed corpus under %s is current\n", root.c_str());
+    return 0;
+  }
   std::printf("seed corpus written under %s\n", root.c_str());
   return 0;
 }

@@ -38,6 +38,12 @@ enum class StatusCode : uint8_t {
   kDeadlineExceeded,  // end-to-end deadline budget exhausted
 };
 
+// Largest code a decoder accepts off the wire (wire::Get bounds every
+// one-byte enum by its WireMax).
+constexpr StatusCode WireMax(StatusCode) {
+  return StatusCode::kDeadlineExceeded;
+}
+
 // Human-readable name of a status code ("OK", "KeyError", ...).
 std::string_view StatusCodeName(StatusCode code);
 

@@ -39,8 +39,7 @@ inline constexpr const char* kMethodReplicaDrop = "Plasma.ReplicaDrop";
 
 struct HelloRequest {
   uint32_t node_id = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<HelloRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.node_id); }
 };
 
 struct HelloReply {
@@ -54,44 +53,40 @@ struct HelloReply {
   // disabled. Peers attach it to validate descriptors against eviction.
   uint32_t gen_region = UINT32_MAX;
   std::string store_name;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<HelloReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.node_id, m.pool_region, m.index_region, m.gen_region, m.store_name);
+  }
 };
 
 // ---- lookup ----------------------------------------------------------------
 
 struct LookupRequest {
   std::vector<ObjectId> ids;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<LookupRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.ids); }
 };
 
 struct LookupEntry {
   ObjectId id;
   bool found = false;
   plasma::RemoteObjectLocation location;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<LookupEntry> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id, m.found, m.location); }
 };
 
 struct LookupReply {
   std::vector<LookupEntry> entries;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<LookupReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.entries); }
 };
 
 // ---- probe -----------------------------------------------------------------
 
 struct ProbeRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ProbeRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct ProbeReply {
   bool exists = false;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ProbeReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.exists); }
 };
 
 // ---- pin / unpin -----------------------------------------------------------
@@ -111,14 +106,14 @@ struct PinRequest {
     loc.metadata_size = metadata_size;
     return loc;
   }
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PinRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.peer_node, m.offset, m.data_size, m.metadata_size);
+  }
 };
 
 struct PinReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PinReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 // Unpin reuses the same shapes; it ignores the location fields.
@@ -129,14 +124,12 @@ using UnpinReply = PinReply;
 
 struct PingRequest {
   uint32_t from_node = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PingRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.from_node); }
 };
 
 struct PingReply {
   uint32_t node_id = 0;  // the replier, so a restarted peer is recognised
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PingReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.node_id); }
 };
 
 // ---- replicate (k-way replication fan-out) ---------------------------------
@@ -169,14 +162,15 @@ struct ReplicateRequest {
     loc.metadata_size = metadata_size;
     return loc;
   }
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReplicateRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.from_node, m.origin_node, m.desired_copies, m.copy_nodes,
+      m.region, m.offset, m.data_size, m.metadata_size, m.crc);
+  }
 };
 
 struct ReplicateReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReplicateReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 // ---- replica drop (origin delete propagation) ------------------------------
@@ -184,14 +178,12 @@ struct ReplicateReply {
 struct ReplicaDropRequest {
   ObjectId id;
   uint32_t from_node = 0;  // must match the replica's recorded origin
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReplicaDropRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id, m.from_node); }
 };
 
 struct ReplicaDropReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReplicaDropReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 }  // namespace mdos::dist

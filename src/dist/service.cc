@@ -9,7 +9,7 @@ namespace {
 template <typename ReplyT>
 std::vector<uint8_t> EncodeReply(const ReplyT& reply) {
   wire::Writer w;
-  reply.EncodeTo(w);
+  wire::Encode(w, reply);
   // Move the encode buffer out instead of copying it: the RPC server
   // appends it to the connection's egress queue as-is.
   return w.TakeBuffer();
@@ -18,7 +18,7 @@ std::vector<uint8_t> EncodeReply(const ReplyT& reply) {
 template <typename RequestT>
 Result<RequestT> DecodeRequest(const std::vector<uint8_t>& payload) {
   wire::Reader r(payload.data(), payload.size());
-  return RequestT::DecodeFrom(r);
+  return wire::Decode<RequestT>(r);
 }
 
 }  // namespace

@@ -190,7 +190,9 @@ class PlasmaClient {
   // hang. The default (infinite) keeps historical behavior.
 
   // Reserves an object of the given sizes and returns a writable buffer.
-  // Fails with AlreadyExists if the id is taken anywhere in the system.
+  // Fails with AlreadyExists if the id exists locally or a live peer
+  // holds it when the store probes (concurrent Creates of one id on two
+  // nodes can both succeed).
   // `replicate` asks the store to hold this object at ≥2 copies after
   // Seal even when its replication_factor is 1 (per-object opt-in).
   Result<ObjectBuffer> Create(const ObjectId& id, uint64_t data_size,

@@ -62,13 +62,15 @@ enum class ObjectLocation : uint8_t {
   kLocal = 0,   // this node's pool; `offset` is pool-relative
   kRemote = 1,  // a remote node's exported region, reachable via fabric
 };
+constexpr ObjectLocation WireMax(ObjectLocation) {
+  return ObjectLocation::kRemote;
+}
 
 // ---- connect -------------------------------------------------------------
 
 struct ConnectRequest {
   std::string client_name;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ConnectRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.client_name); }
 };
 
 struct ConnectReply {
@@ -80,8 +82,10 @@ struct ConnectReply {
   uint64_t pool_slab_offset = 0;
   std::string store_name;
   // After this frame the store sends the pool memfd via SCM_RIGHTS.
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ConnectReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.node_id, m.pool_region_id, m.pool_size, m.pool_slab_offset,
+      m.store_name);
+  }
 };
 
 // ---- create / seal / abort ----------------------------------------------
@@ -94,8 +98,9 @@ struct CreateRequest {
   // to peer replicas even when StoreOptions::replication_factor is 1
   // (the effective copy count is max(replication_factor, 2) then).
   bool replicate = false;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<CreateRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.data_size, m.metadata_size, m.replicate);
+  }
 };
 
 struct CreateReply {
@@ -103,32 +108,29 @@ struct CreateReply {
   uint64_t offset = 0;  // pool-relative offset of the data section
   uint64_t data_size = 0;
   uint64_t metadata_size = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<CreateReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.status, m.offset, m.data_size, m.metadata_size);
+  }
 };
 
 struct SealRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<SealRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct SealReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<SealReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 struct AbortRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<AbortRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct AbortReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<AbortReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 // ---- get / release -------------------------------------------------------
@@ -145,8 +147,9 @@ struct GetRequest {
   // Set by the client's transparent generation-mismatch refetch so the
   // store can count mapped_fallbacks (plain pinned Gets don't).
   bool fallback = false;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<GetRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.ids, wire::Varint(m.timeout_ms), m.pinned, m.fallback);
+  }
 };
 
 struct GetReplyEntry {
@@ -169,53 +172,49 @@ struct GetReplyEntry {
   uint64_t gen_slot = 0;
   uint32_t gen_region = UINT32_MAX;
   uint64_t gen_epoch = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<GetReplyEntry> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.found, m.location, m.offset, m.data_size, m.metadata_size,
+      m.home_node, m.home_region, m.mapped, m.generation, m.gen_slot,
+      m.gen_region, m.gen_epoch);
+  }
 };
 
 struct GetReply {
   Status status;
   std::vector<GetReplyEntry> entries;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<GetReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status, m.entries); }
 };
 
 struct ReleaseRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReleaseRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct ReleaseReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ReleaseReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 // ---- contains / delete / list / stats -------------------------------------
 
 struct ContainsRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ContainsRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct ContainsReply {
   bool contains = false;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ContainsReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.contains); }
 };
 
 struct DeleteRequest {
   ObjectId id;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.id); }
 };
 
 struct DeleteReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<DeleteReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 struct ObjectInfo {
@@ -225,24 +224,22 @@ struct ObjectInfo {
   bool sealed = false;
   bool spilled = false;  // sealed but resident in the disk spill tier
   uint32_t ref_count = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ObjectInfo> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.data_size, m.metadata_size, m.sealed, m.spilled, m.ref_count);
+  }
 };
 
 struct ListRequest {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ListRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto&, auto& v) { v(); }
 };
 
 struct ListReply {
   std::vector<ObjectInfo> objects;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ListReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.objects); }
 };
 
 struct StatsRequest {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<StatsRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto&, auto& v) { v(); }
 };
 
 struct StoreStats {
@@ -296,14 +293,25 @@ struct StoreStats {
   uint64_t hedged_reads = 0;        // backup replica reads fired
   uint64_t hedge_wins = 0;          // hedges that answered first
   uint64_t hedge_budget_denied = 0;  // hedges refused by the global cap
-  void EncodeTo(wire::Writer& w) const;
-  static Result<StoreStats> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.capacity, m.bytes_in_use, m.objects_total, m.objects_sealed,
+      m.evictions, m.remote_lookups, m.remote_lookup_hits,
+      m.spilled_objects, m.spilled_bytes, m.spills, m.spill_restores,
+      m.frames_tx, m.frames_coalesced, m.writev_calls, m.bytes_tx,
+      m.egress_blocked_events, m.peers_total, m.peers_healthy,
+      m.peers_suspect, m.peers_dead, m.peer_failed_rpcs,
+      m.peer_reconnects, m.peer_heartbeats, m.mapped_reads,
+      m.mapped_bytes, m.mapped_fallbacks, m.replicas_total,
+      m.under_replicated, m.reheal_copies, m.reheal_bytes,
+      m.reheal_deduped, m.reheal_dropped, m.reheal_queue_depth,
+      m.deadline_exceeded, m.hedged_reads, m.hedge_wins,
+      m.hedge_budget_denied);
+  }
 };
 
 struct StatsReply {
   StoreStats stats;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<StatsReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.stats); }
 };
 
 // GetStoreStats extension: one row per store shard. The sharded core
@@ -336,19 +344,23 @@ struct ShardStatsEntry {
   // Replication state of this shard's object table.
   uint64_t replicas_total = 0;
   uint64_t under_replicated = 0;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ShardStatsEntry> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.shard, m.clients, m.objects_total, m.objects_sealed,
+      m.bytes_in_use, m.arena_capacity, m.evictions, m.inflight_gets,
+      m.spilled_objects, m.spilled_bytes, m.spill_restores, m.frames_tx,
+      m.frames_coalesced, m.writev_calls, m.bytes_tx,
+      m.egress_blocked_events, m.mapped_reads, m.mapped_bytes,
+      m.mapped_fallbacks, m.replicas_total, m.under_replicated);
+  }
 };
 
 struct ShardStatsRequest {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ShardStatsRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto&, auto& v) { v(); }
 };
 
 struct ShardStatsReply {
   std::vector<ShardStatsEntry> shards;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<ShardStatsReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.shards); }
 };
 
 // Peer-health extension: one row per peer store this node is meshed
@@ -364,19 +376,19 @@ struct PeerStatsEntry {
   uint64_t heartbeats = 0;       // Plasma.Ping calls sent to this peer
   int64_t ms_since_ok = -1;      // ms since the last successful call
   int64_t ewma_latency_us = -1;  // smoothed call latency; -1 = no sample
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PeerStatsEntry> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.node_id, m.state, m.failure_streak, m.failed_rpcs, m.reconnects,
+      m.heartbeats, m.ms_since_ok, m.ewma_latency_us);
+  }
 };
 
 struct PeerStatsRequest {
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PeerStatsRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto&, auto& v) { v(); }
 };
 
 struct PeerStatsReply {
   std::vector<PeerStatsEntry> peers;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<PeerStatsReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.peers); }
 };
 
 // ---- subscribe / notifications --------------------------------------------
@@ -385,14 +397,12 @@ struct PeerStatsReply {
 // from then on (matching upstream Plasma's notification socket).
 struct SubscribeRequest {
   std::string subscriber_name;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<SubscribeRequest> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.subscriber_name); }
 };
 
 struct SubscribeReply {
   Status status;
-  void EncodeTo(wire::Writer& w) const;
-  static Result<SubscribeReply> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) { v(m.status); }
 };
 
 // Pushed by the store whenever an object is sealed or removed.
@@ -401,8 +411,9 @@ struct Notification {
   uint64_t data_size = 0;
   uint64_t metadata_size = 0;
   bool deleted = false;  // false: sealed; true: deleted or evicted
-  void EncodeTo(wire::Writer& w) const;
-  static Result<Notification> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.id, m.data_size, m.metadata_size, m.deleted);
+  }
 };
 
 // ---- helpers ---------------------------------------------------------------
@@ -413,11 +424,6 @@ struct Notification {
 // which lets one connection keep many requests in flight and lets replies
 // complete out of order. Server pushes (notifications) use kNoRequestId.
 inline constexpr uint64_t kNoRequestId = 0;
-
-// Encodes a Status as (u8 code, string message).
-void EncodeStatus(wire::Writer& w, const Status& s);
-// Decodes into *out; the returned Status reports decode failure only.
-Status DecodeStatus(wire::Reader& r, Status* out);
 
 // Reads the request id off a tagged frame payload.
 Result<uint64_t> PeekRequestId(const uint8_t* payload, size_t size);
@@ -439,8 +445,8 @@ namespace mdos::plasma {
 template <typename Message>
 void EncodeMessage(wire::Writer& w, uint64_t request_id,
                    const Message& msg) {
-  wire::MessageHeader{request_id}.EncodeTo(w);
-  msg.EncodeTo(w);
+  wire::Encode(w, wire::MessageHeader{request_id});
+  wire::Encode(w, msg);
 }
 
 // Deadline-stamping variant: `deadline_ms` is the sender's remaining
@@ -448,8 +454,8 @@ void EncodeMessage(wire::Writer& w, uint64_t request_id,
 template <typename Message>
 void EncodeMessage(wire::Writer& w, uint64_t request_id,
                    uint64_t deadline_ms, const Message& msg) {
-  wire::MessageHeader{request_id, deadline_ms}.EncodeTo(w);
-  msg.EncodeTo(w);
+  wire::Encode(w, wire::MessageHeader{request_id, deadline_ms});
+  wire::Encode(w, msg);
 }
 
 // Sends `msg` as one request-tagged frame of the given type (blocking;
@@ -469,9 +475,9 @@ Status SendMessage(int fd, MessageType type, uint64_t request_id,
 template <typename Message>
 Result<Message> DecodeMessage(const uint8_t* payload, size_t size) {
   wire::Reader r(payload, size);
-  auto header = wire::MessageHeader::DecodeFrom(r);
+  auto header = wire::Decode<wire::MessageHeader>(r);
   if (!header.ok()) return header.status();
-  return Message::DecodeFrom(r);
+  return wire::Decode<Message>(r);
 }
 
 template <typename Message>

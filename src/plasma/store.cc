@@ -552,7 +552,7 @@ void Store::DispatchFrame(Shard& shard, ClientConn& conn,
   const auto type = static_cast<MessageType>(frame.type);
   const std::span<const uint8_t> body(frame.payload, frame.size);
   wire::Reader header_reader(frame.payload, frame.size);
-  auto header = wire::MessageHeader::DecodeFrom(header_reader);
+  auto header = wire::Decode<wire::MessageHeader>(header_reader);
   if (!header.ok()) {
     DropClient(shard, fd);
     return;

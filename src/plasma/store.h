@@ -128,7 +128,9 @@ struct StoreOptions {
   // spill tier is an extension of the in-memory pool, not a persistence
   // layer across store restarts).
   std::string spill_dir;
-  // Probe peers on Create so ids are unique system-wide (§IV-A2).
+  // Probe peers on Create (§IV-A2): a Create fails with AlreadyExists
+  // when a live peer holds the id at probe time. Two concurrent Creates
+  // of one id on different nodes can still both succeed.
   bool check_global_uniqueness = true;
   // Distributed object-usage sharing (paper future work, implemented):
   // pin remote objects at their home store while local clients use them.
@@ -159,6 +161,11 @@ struct RemoteObjectLocation {
   uint64_t gen_slot = 0;
   uint32_t gen_region = UINT32_MAX;
   uint64_t gen_epoch = 0;
+  // Wire order (travels inside dist::LookupEntry).
+  static void Fields(auto& m, auto& v) {
+    v(m.home_node, m.home_region, m.offset, m.data_size, m.metadata_size,
+      m.generation, m.gen_slot, m.gen_region, m.gen_epoch);
+  }
 };
 
 // Interface to the distributed layer; implemented by

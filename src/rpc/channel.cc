@@ -767,7 +767,7 @@ void ChannelLoop::Link::DrainReplies() {
         break;
       }
       wire::Reader reader(view.payload, view.size);
-      auto response = RpcResponse::DecodeFrom(reader);
+      auto response = wire::Decode<RpcResponse>(reader);
       if (!response.ok()) {
         parse = response.status();
         break;

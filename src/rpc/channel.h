@@ -200,19 +200,19 @@ class RpcChannel {
                                Deadline deadline);
 
   // Typed forms: encode `request`, decode the reply into ResponseT (on
-  // the completing thread). RequestT provides EncodeTo, ResponseT
-  // DecodeFrom. `Bound` is a timeout in ms or a Deadline.
+  // the completing thread); both declare their wire `Fields`. `Bound`
+  // is a timeout in ms or a Deadline.
   template <typename ResponseT, typename RequestT, typename Bound>
   Future<Result<ResponseT>> CallTypedAsync(const std::string& method,
                                            const RequestT& request,
                                            Bound bound) {
     wire::Writer w;
-    request.EncodeTo(w);
+    wire::Encode(w, request);
     return CallAsync(method, w.TakeBuffer(), bound)
         .Then([](CallResult& reply) -> Result<ResponseT> {
           if (!reply.ok()) return reply.status();
           wire::Reader r(reply->data(), reply->size());
-          return ResponseT::DecodeFrom(r);
+          return wire::Decode<ResponseT>(r);
         });
   }
 

@@ -28,35 +28,33 @@ namespace mdos::rpc {
 inline constexpr uint32_t kRequestFrame = 0x52504351;   // "RPCQ"
 inline constexpr uint32_t kResponseFrame = 0x52504352;  // "RPCR"
 
-// Encodes a request envelope straight from its parts (no RpcRequest,
-// no payload copy beyond the one into `w`).
-void EncodeRequest(wire::Writer& w, uint64_t call_id, std::string_view method,
-                   uint64_t deadline_ms, const std::vector<uint8_t>& payload);
-
-struct RpcRequest {
-  uint64_t call_id = 0;
-  std::string method;
-  uint64_t deadline_ms = 0;  // 0 = no deadline
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(wire::Writer& w) const;
-  static Result<RpcRequest> DecodeFrom(wire::Reader& r);
-};
-
-// Envelope-only view of a request: call_id, method, and deadline are
-// decoded but the payload is left in place as a view into the frame
-// buffer. The server uses this to shed expired work *before* paying for
-// the payload copy, and only materializes the bytes for requests it
-// will actually serve. The view borrows the frame buffer — it must not
-// outlive it.
+// Request envelope: call_id, method, and deadline are decoded but the
+// payload is left in place as a view into the frame buffer. The server
+// uses this to shed expired work *before* paying for the payload copy,
+// and only materializes the bytes for requests it will actually serve.
+// The view borrows the frame buffer — it must not outlive it.
 struct RpcRequestView {
   uint64_t call_id = 0;
   std::string_view method;
-  uint64_t deadline_ms = 0;
+  uint64_t deadline_ms = 0;  // 0 = no deadline
   std::string_view payload;
 
-  static Result<RpcRequestView> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.call_id, m.method, wire::Varint(m.deadline_ms), m.payload);
+  }
 };
+
+// Encodes a request envelope straight from its parts (no payload copy
+// beyond the one into `w`).
+inline void EncodeRequest(wire::Writer& w, uint64_t call_id,
+                          std::string_view method, uint64_t deadline_ms,
+                          const std::vector<uint8_t>& payload) {
+  wire::Encode(w, RpcRequestView{
+                      call_id, method, deadline_ms,
+                      std::string_view(
+                          reinterpret_cast<const char*>(payload.data()),
+                          payload.size())});
+}
 
 struct RpcResponse {
   uint64_t call_id = 0;
@@ -64,8 +62,9 @@ struct RpcResponse {
   std::string error;
   std::vector<uint8_t> payload;
 
-  void EncodeTo(wire::Writer& w) const;
-  static Result<RpcResponse> DecodeFrom(wire::Reader& r);
+  static void Fields(auto& m, auto& v) {
+    v(m.call_id, m.code, m.error, m.payload);
+  }
 
   Status ToStatus() const {
     if (code == StatusCode::kOk) return Status::OK();

@@ -130,7 +130,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
                                size_t size, int64_t arrival_ns) {
   // Envelope first: shedding must not pay for the payload copy.
   wire::Reader reader(payload, size);
-  auto view = RpcRequestView::DecodeFrom(reader);
+  auto view = wire::Decode<RpcRequestView>(reader);
   if (!view.ok()) return view.status();
 
   RpcResponse response;
@@ -152,7 +152,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
                      "': deadline passed before dispatch";
     wire::Writer writer;
     writer.Adopt(conn.tx.AcquireBuffer());
-    response.EncodeTo(writer);
+    wire::Encode(writer, response);
     {
       MutexLock lock(stats_mutex_);
       ++stats_.calls;
@@ -188,7 +188,7 @@ Status RpcServer::ServeRequest(Conn& conn, const uint8_t* payload,
   // readable batch.
   wire::Writer writer;
   writer.Adopt(conn.tx.AcquireBuffer());
-  response.EncodeTo(writer);
+  wire::Encode(writer, response);
   // Account the call before the response leaves: once the client has the
   // reply, the server's counters must already reflect it.
   {

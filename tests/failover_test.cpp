@@ -352,7 +352,7 @@ TEST_F(FailoverDistTest, GetRetriesTheLookupWhenItsPinFindsANewIncarnation) {
           -> Result<std::vector<uint8_t>> {
         wire::Reader r(payload.data(), payload.size());
         MDOS_ASSIGN_OR_RETURN(dist::PinRequest request,
-                              dist::PinRequest::DecodeFrom(r));
+                              wire::Decode<dist::PinRequest>(r));
         if (!recreated) {
           recreated = true;
           EXPECT_TRUE((*producer)->Delete(request.id).ok());
@@ -363,7 +363,7 @@ TEST_F(FailoverDistTest, GetRetriesTheLookupWhenItsPinFindsANewIncarnation) {
         reply.status = stores_[1]->PinForPeer(request.id, request.peer_node,
                                               request.location());
         wire::Writer w;
-        reply.EncodeTo(w);
+        wire::Encode(w, reply);
         return w.TakeBuffer();
       });
   ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
@@ -399,13 +399,13 @@ TEST_F(FailoverDistTest, GetRetriesTheLookupOnceWhenItsPinFails) {
           -> Result<std::vector<uint8_t>> {
         wire::Reader r(payload.data(), payload.size());
         MDOS_ASSIGN_OR_RETURN(dist::PinRequest request,
-                              dist::PinRequest::DecodeFrom(r));
+                              wire::Decode<dist::PinRequest>(r));
         EXPECT_TRUE((*producer)->Delete(request.id).ok());
         dist::PinReply reply;
         reply.status = stores_[1]->PinForPeer(request.id, request.peer_node,
                                               request.location());
         wire::Writer w;
-        reply.EncodeTo(w);
+        wire::Encode(w, reply);
         return w.TakeBuffer();
       });
   ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
@@ -443,14 +443,14 @@ TEST_F(FailoverDistTest, DeleteDuringAReplicaPullIsRefusedAsInUse) {
           -> Result<std::vector<uint8_t>> {
         wire::Reader r(bytes.data(), bytes.size());
         MDOS_ASSIGN_OR_RETURN(dist::ReplicateRequest request,
-                              dist::ReplicateRequest::DecodeFrom(r));
+                              wire::Decode<dist::ReplicateRequest>(r));
         mid_pull_delete = (*deleter)->Delete(request.id);
         dist::ReplicateReply reply;
         reply.status = stores_[1]->AcceptReplica(
             request.id, request.source(), request.crc, request.origin_node,
             request.desired_copies, request.copy_nodes);
         wire::Writer w;
-        reply.EncodeTo(w);
+        wire::Encode(w, reply);
         return w.TakeBuffer();
       });
   ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());
@@ -541,7 +541,7 @@ TEST_F(FailoverDistTest, LatePullAfterAPushTimedOutIsRefused) {
           -> Result<std::vector<uint8_t>> {
         wire::Reader r(bytes.data(), bytes.size());
         MDOS_ASSIGN_OR_RETURN(dist::ReplicateRequest request,
-                              dist::ReplicateRequest::DecodeFrom(r));
+                              wire::Decode<dist::ReplicateRequest>(r));
         const bool first_pull = late->pulls.fetch_add(1) == 0;
         if (first_pull) late->reused_ready.wait_for(std::chrono::seconds(10));
         dist::ReplicateReply reply;
@@ -550,7 +550,7 @@ TEST_F(FailoverDistTest, LatePullAfterAPushTimedOutIsRefused) {
             request.desired_copies, request.copy_nodes);
         if (first_pull) late->refused.set_value(reply.status);
         wire::Writer w;
-        reply.EncodeTo(w);
+        wire::Encode(w, reply);
         return w.TakeBuffer();
       });
   ASSERT_TRUE(servers_[1].Start(ports_[1]).ok());

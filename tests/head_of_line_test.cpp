@@ -235,7 +235,7 @@ TEST(AsyncTeardownTest, DestroyingARegistryCompletesItsCallsInFlight) {
         dist::HelloReply reply;
         reply.node_id = 2;
         wire::Writer w;
-        reply.EncodeTo(w);
+        wire::Encode(w, reply);
         return w.TakeBuffer();
       });
   peer.RegisterHandler(

@@ -17,12 +17,7 @@ namespace {
 
 struct EchoRequest {
   std::string text;
-  void EncodeTo(wire::Writer& w) const { w.PutString(text); }
-  static Result<EchoRequest> DecodeFrom(wire::Reader& r) {
-    EchoRequest m;
-    MDOS_ASSIGN_OR_RETURN(m.text, r.GetString());
-    return m;
-  }
+  static void Fields(auto& m, auto& v) { v(m.text); }
 };
 using EchoReply = EchoRequest;
 
@@ -292,20 +287,17 @@ TEST(RpcLifecycleTest, RestartOnNewPort) {
 }
 
 TEST(RpcMessageTest, RequestRoundTrip) {
-  RpcRequest request;
-  request.call_id = 42;
-  request.method = "Plasma.Lookup";
-  request.deadline_ms = 1500;
-  request.payload = {9, 8, 7};
+  const std::vector<uint8_t> payload = {9, 8, 7};
   wire::Writer w;
-  request.EncodeTo(w);
+  EncodeRequest(w, 42, "Plasma.Lookup", 1500, payload);
   wire::Reader r(w.data(), w.size());
-  auto decoded = RpcRequest::DecodeFrom(r);
+  auto decoded = wire::Decode<RpcRequestView>(r);
   ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded->call_id, 42u);
   EXPECT_EQ(decoded->method, "Plasma.Lookup");
   EXPECT_EQ(decoded->deadline_ms, 1500u);
-  EXPECT_EQ(decoded->payload, request.payload);
+  EXPECT_EQ(decoded->payload, std::string_view("\x09\x08\x07", 3));
 }
 
 TEST(RpcMessageTest, ResponseRoundTripWithError) {
@@ -314,9 +306,9 @@ TEST(RpcMessageTest, ResponseRoundTripWithError) {
   response.code = StatusCode::kKeyError;
   response.error = "missing";
   wire::Writer w;
-  response.EncodeTo(w);
+  wire::Encode(w, response);
   wire::Reader r(w.data(), w.size());
-  auto decoded = RpcResponse::DecodeFrom(r);
+  auto decoded = wire::Decode<RpcResponse>(r);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->ToStatus().code(), StatusCode::kKeyError);
   EXPECT_EQ(decoded->ToStatus().message(), "missing");
@@ -329,7 +321,7 @@ TEST(RpcMessageTest, BadStatusCodeRejected) {
   w.PutString("");
   w.PutBytes("");
   wire::Reader r(w.data(), w.size());
-  EXPECT_FALSE(RpcResponse::DecodeFrom(r).ok());
+  EXPECT_FALSE(wire::Decode<RpcResponse>(r).ok());
 }
 
 }  // namespace

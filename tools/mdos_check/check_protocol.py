@@ -5,9 +5,10 @@ the system must know how to handle. Reviewer memory used to enforce
 that; this checker makes it a build gate. For each enumerator it
 requires:
 
-  (a) an encode arm and a decode arm: the message struct derived from
-      the enumerator name (kGetRequest -> GetRequest) defines both
-      `EncodeTo` and `DecodeFrom` in the protocol TU;
+  (a) a field list: the message struct derived from the enumerator name
+      (kGetRequest -> GetRequest) defines `Fields` in the protocol
+      header. `wire::Encode`/`wire::Decode` derive both codec halves
+      from it, so a struct with `Fields` has both;
   (b) dispatch arms on BOTH sides of the wire: the enumerator is named
       (as `MessageType::kX`) in the server frame handler (the store
       dispatches requests and emits replies/pushes) AND in at least one
@@ -16,8 +17,8 @@ requires:
       named on both, so a single shared corpus would let a deleted
       store dispatch arm hide behind the client's send site;
   (c) test coverage: the enumerator or its struct appears in at least
-      one test or fuzz TU (the fuzz corpus replays through ctest, so a
-      TryDecode<Struct> arm in fuzz_protocol.cc counts).
+      one test or fuzz TU (the shared shape list in tests/wire_shapes.h
+      names every struct the round-trip test and the fuzz harness walk).
 
 A new MessageType lands green only when all three exist. Config below
 names the files; enumerators without a payload struct (pure signals
@@ -34,11 +35,10 @@ from findings import Finding
 CHECK = "protocol-exhaustiveness"
 
 CONFIG = {
-    # File holding the enum (relative to the source root).
+    # File holding the enum and the message structs, each of which must
+    # define `Fields` (relative to the source root).
     "enum_file": "plasma/protocol.h",
     "enum_name": "MessageType",
-    # TU that must define EncodeTo/DecodeFrom for every message struct.
-    "codec_file": "plasma/protocol.cc",
     # Where a `MessageType::kX` mention counts as a dispatch arm, per
     # side. Every enumerator must appear in BOTH groups (a group whose
     # files are all absent — fixture trees — is skipped).
@@ -85,17 +85,9 @@ def run(source_set, test_roots=None) -> list[Finding]:
             f"{CONFIG['enum_file']}"))
         return findings
 
-    codec_path = os.path.abspath(os.path.join(src, CONFIG["codec_file"]))
-    codec_sf = source_set.sources.get(codec_path)
-    if codec_sf is None and os.path.exists(codec_path):
-        codec_sf = mdos_cxx.load(codec_path)
-    codec_defs = {}
-    if codec_sf is not None:
-        for fn in codec_sf.functions:
-            if fn.is_definition and fn.name in ("EncodeTo", "DecodeFrom"):
-                cls = fn.qualname.split("::")[-2] if \
-                    "::" in fn.qualname else ""
-                codec_defs.setdefault(cls, set()).add(fn.name)
+    with_fields = {fn.qualname.split("::")[-2] for fn in enum_sf.functions
+                   if fn.is_definition and fn.name == "Fields" and
+                   "::" in fn.qualname}
 
     def dispatch_corpus(key):
         corpus = ""
@@ -136,16 +128,12 @@ def run(source_set, test_roots=None) -> list[Finding]:
         no_payload = enumerator in CONFIG["no_payload"]
         struct = struct_name_for(enumerator)
 
-        if not no_payload:
-            have = codec_defs.get(struct, set())
-            missing = {"EncodeTo", "DecodeFrom"} - have
-            if missing:
-                findings.append(Finding(
-                    enum_sf.path, line, CHECK,
-                    f"{enumerator}: struct {struct} lacks "
-                    f"{'/'.join(sorted(missing))} in "
-                    f"{CONFIG['codec_file']} (every MessageType needs a "
-                    f"codec arm)"))
+        if not no_payload and struct not in with_fields:
+            findings.append(Finding(
+                enum_sf.path, line, CHECK,
+                f"{enumerator}: struct {struct} lacks Fields in "
+                f"{CONFIG['enum_file']} (every MessageType needs a "
+                f"field list)"))
 
         for corpus, where, files in dispatch_sides.values():
             if qualified not in corpus:

@@ -1,8 +1,8 @@
 // Protocol fixture (bad): three-message mini protocol with seeded gaps.
-//   kPingRequest -- fully covered (codec + dispatch + test): no finding.
-//   kPingReply   -- PingReply struct has no DecodeFrom, and no dispatch
-//                   arm mentions MessageType::kPingReply: two findings.
-//   kDropRequest -- codec and dispatch exist but nothing under the test
+//   kPingRequest -- fully covered (Fields + dispatch + test): no finding.
+//   kPingReply   -- PingReply struct has no Fields, and no dispatch arm
+//                   mentions MessageType::kPingReply: two findings.
+//   kDropRequest -- Fields and dispatch exist but nothing under the test
 //                   roots mentions it: one coverage finding.
 #pragma once
 
@@ -18,20 +18,17 @@ enum class MessageType : uint32_t {
 
 struct PingRequest {
   uint64_t nonce;
-  void EncodeTo(char* out) const;
-  static bool DecodeFrom(const char* in, PingRequest* out);
+  static void Fields(auto& m, auto& v) { v(m.nonce); }
 };
 
 struct PingReply {
   uint64_t nonce;
-  void EncodeTo(char* out) const;
-  // DecodeFrom deliberately missing: seeded codec finding.
+  // Fields deliberately missing: seeded field-list finding.
 };
 
 struct DropRequest {
   uint64_t object_id;
-  void EncodeTo(char* out) const;
-  static bool DecodeFrom(const char* in, DropRequest* out);
+  static void Fields(auto& m, auto& v) { v(m.object_id); }
 };
 
 }  // namespace fixture

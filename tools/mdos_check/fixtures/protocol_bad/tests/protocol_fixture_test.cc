@@ -6,16 +6,13 @@
 
 namespace fixture {
 
-bool RoundTripPing() {
+bool VisitPing() {
   PingRequest req{42};
-  char buf[8];
-  req.EncodeTo(buf);
-  PingRequest back{};
-  if (!PingRequest::DecodeFrom(buf, &back)) return false;
-  PingReply reply{back.nonce};
-  char buf2[8];
-  reply.EncodeTo(buf2);
-  return true;
+  uint64_t seen = 0;
+  auto visit = [&seen](uint64_t nonce) { seen = nonce; };
+  PingRequest::Fields(req, visit);
+  PingReply reply{seen};
+  return reply.nonce == 42;
 }
 
 }  // namespace fixture

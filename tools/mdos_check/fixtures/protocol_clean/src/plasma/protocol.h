@@ -1,5 +1,5 @@
 // Protocol fixture (clean): two-message protocol where every
-// enumerator has a codec arm, a dispatch arm, and test coverage.
+// enumerator has a field list, a dispatch arm, and test coverage.
 // The checker must produce zero findings over this tree.
 #pragma once
 
@@ -14,14 +14,12 @@ enum class MessageType : uint32_t {
 
 struct EchoRequest {
   uint64_t nonce;
-  void EncodeTo(char* out) const;
-  static bool DecodeFrom(const char* in, EchoRequest* out);
+  static void Fields(auto& m, auto& v) { v(m.nonce); }
 };
 
 struct EchoReply {
   uint64_t nonce;
-  void EncodeTo(char* out) const;
-  static bool DecodeFrom(const char* in, EchoReply* out);
+  static void Fields(auto& m, auto& v) { v(m.nonce); }
 };
 
 }  // namespace fixture_clean

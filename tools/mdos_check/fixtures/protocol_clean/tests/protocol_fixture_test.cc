@@ -3,17 +3,14 @@
 
 namespace fixture_clean {
 
-bool RoundTripEcho() {
+bool VisitEcho() {
   EchoRequest req{7};
-  char buf[8];
-  req.EncodeTo(buf);
-  EchoRequest back{};
-  if (!EchoRequest::DecodeFrom(buf, &back)) return false;
-  EchoReply reply{back.nonce};
-  char buf2[8];
-  reply.EncodeTo(buf2);
-  EchoReply rback{};
-  return EchoReply::DecodeFrom(buf2, &rback);
+  uint64_t seen = 0;
+  auto visit = [&seen](uint64_t nonce) { seen = nonce; };
+  EchoRequest::Fields(req, visit);
+  EchoReply reply{seen};
+  EchoReply::Fields(reply, visit);
+  return seen == 7;
 }
 
 }  // namespace fixture_clean

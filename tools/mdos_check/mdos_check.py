@@ -6,7 +6,7 @@ compile_commands.json (falling back to a tree walk when no build dir is
 available). Zero dependencies beyond CPython 3.11 — the lexer core in
 mdos_cxx.py replaces libclang, which this toolchain does not ship.
 
-  protocol   every MessageType has codec, dispatch, and test coverage
+  protocol   every MessageType has a field list, dispatch, and test coverage
   blocking   MDOS_EVENT_LOOP_CONTEXT roots never reach blocking calls;
              no blocking call under a held MutexLock
   layers     the include graph respects layers.toml (no upward edges,

@@ -105,7 +105,7 @@ def main():
     expect("protocol/bad", bad,
            check_protocol.run(bad, test_roots=bad_tests), [
                ("plasma/protocol.h", 15, "protocol-exhaustiveness",
-                "lacks DecodeFrom"),
+                "lacks Fields"),
                ("plasma/protocol.h", 15, "protocol-exhaustiveness",
                 "no dispatch arm"),
                ("plasma/protocol.h", 16, "protocol-exhaustiveness",
